@@ -21,8 +21,8 @@ use std::collections::HashMap;
 
 use snod_core::pipeline::{Algorithm, OutlierPipeline};
 use snod_core::{
-    run_fqn, run_mmdew, D3Config, EstimatorConfig, FqnConfig, MgddConfig, MmdewNodeConfig,
-    UpdateStrategy,
+    run_backend, D3Config, EstimatorConfig, FqnBackend, FqnConfig, MgddConfig, MmdewBackend,
+    MmdewNodeConfig, UpdateStrategy,
 };
 use snod_data::{DataStream, SensorStreams};
 use snod_density::{DensityModel, EquiDepthHistogram, GridHistogram};
@@ -491,7 +491,7 @@ fn fqn_base_value(leaf: u32, seq: u64, seed: u64) -> f64 {
 /// injected-contamination labels: a true positive is an injected value
 /// flagged by its leaf, a false positive any flagged base value, a
 /// false negative an injection that went unflagged.
-pub fn run_fqn_accuracy(cfg: &FqnAccuracyConfig) -> Vec<OperatingPoint> {
+pub fn fqn_accuracy_sweep(cfg: &FqnAccuracyConfig) -> Vec<OperatingPoint> {
     let topo = Hierarchy::balanced(cfg.leaves, &cfg.fanouts).expect("valid accuracy hierarchy");
     let readings = cfg.warmup + cfg.eval;
     let warmup = cfg.warmup;
@@ -521,7 +521,8 @@ pub fn run_fqn_accuracy(cfg: &FqnAccuracyConfig) -> Vec<OperatingPoint> {
                     fqn_base_value(node.0, seq, seed)
                 }])
             };
-            let net = run_fqn(topo.clone(), &fqn, SimConfig::default(), &mut source, readings)
+            let backend = FqnBackend(fqn);
+            let net = run_backend(&backend, topo.clone(), SimConfig::default(), &mut source, readings)
                 .expect("fqn accuracy recipe is valid");
             let mut pr = PrecisionRecall::new();
             let mut hit: std::collections::HashSet<Vec<u64>> = std::collections::HashSet::new();
@@ -571,7 +572,7 @@ pub struct MmdewAccuracyConfig {
 /// `[cp, cp + tolerance]` (extra alarms inside the window fold into the
 /// same event), a false negative otherwise; alarms outside every window
 /// are false positives.
-pub fn run_mmdew_accuracy(cfg: &MmdewAccuracyConfig) -> Vec<OperatingPoint> {
+pub fn mmdew_accuracy_sweep(cfg: &MmdewAccuracyConfig) -> Vec<OperatingPoint> {
     let topo = Hierarchy::balanced(cfg.leaves, &cfg.fanouts).expect("valid accuracy hierarchy");
     let sim = SimConfig::default();
     let period = sim.reading_period_ns;
@@ -592,7 +593,8 @@ pub fn run_mmdew_accuracy(cfg: &MmdewAccuracyConfig) -> Vec<OperatingPoint> {
                 let base = if (seq / segment).is_multiple_of(2) { 0.2 } else { 0.8 };
                 Some(vec![base + 0.02 * ((h % 1_009) as f64 / 1_009.0)])
             };
-            let net = run_mmdew(topo.clone(), &node_cfg, sim, &mut source, cfg.readings)
+            let backend = MmdewBackend(node_cfg);
+            let net = run_backend(&backend, topo.clone(), sim, &mut source, cfg.readings)
                 .expect("mmdew accuracy recipe is valid");
             let mut pr = PrecisionRecall::new();
             for &leaf in topo.leaves() {
@@ -678,7 +680,7 @@ mod tests {
             k_scales: vec![2.0, 4.0, 12.0],
             seed: 5,
         };
-        let points = run_fqn_accuracy(&cfg);
+        let points = fqn_accuracy_sweep(&cfg);
         assert_eq!(points.len(), 3);
         let planted = 4 * (400u64).div_ceil(50);
         for p in &points {
@@ -716,7 +718,7 @@ mod tests {
             threshold_scales: vec![0.6, 5.0],
             seed: 5,
         };
-        let points = run_mmdew_accuracy(&cfg);
+        let points = mmdew_accuracy_sweep(&cfg);
         assert_eq!(points.len(), 2);
         let events = 4 * 3; // 4 leaves × change points at 250/500/750
         for p in &points {

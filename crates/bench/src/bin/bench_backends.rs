@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use snod_bench::accuracy::{
-    run_fqn_accuracy, run_mmdew_accuracy, FqnAccuracyConfig, MmdewAccuracyConfig,
+    fqn_accuracy_sweep, mmdew_accuracy_sweep, FqnAccuracyConfig, MmdewAccuracyConfig,
 };
 use snod_core::{
     run_backend_with_faults, BackendKind, D3Backend, D3Config, DetectorBackend, EstimatorConfig,
@@ -135,7 +135,7 @@ fn main() {
     }
 
     // Accuracy at fixed operating points against the exact oracles.
-    let fqn_points = run_fqn_accuracy(&FqnAccuracyConfig {
+    let fqn_points = fqn_accuracy_sweep(&FqnAccuracyConfig {
         leaves: 4,
         fanouts: vec![2, 2],
         fqn: FqnConfig {
@@ -156,7 +156,7 @@ fn main() {
     mmdew_node.detector.bucket_cap = 16;
     mmdew_node.detector.min_per_side = 8;
     mmdew_node.detector.seed = 11;
-    let mmdew_points = run_mmdew_accuracy(&MmdewAccuracyConfig {
+    let mmdew_points = mmdew_accuracy_sweep(&MmdewAccuracyConfig {
         leaves: 4,
         fanouts: vec![2, 2],
         node: mmdew_node,

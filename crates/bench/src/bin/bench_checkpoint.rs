@@ -14,7 +14,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use snod_core::{
-    build_d3_network, build_mgdd_network, D3Config, EstimatorConfig, MgddConfig, UpdateStrategy,
+    build_backend_network, D3Backend, D3Config, DetectorBackend, EstimatorConfig, MgddBackend,
+    MgddConfig, UpdateStrategy,
 };
 use snod_outlier::{DistanceOutlierConfig, MdefConfig};
 use snod_simnet::{FaultPlan, Hierarchy, NodeId, SimConfig};
@@ -48,16 +49,12 @@ fn estimator() -> EstimatorConfig {
 }
 
 /// One measured cell: `(checkpoint bytes, node count, encode s, restore s)`.
-fn d3_cell(leaves: usize) -> (usize, usize, f64, f64) {
+fn cell<B: DetectorBackend>(backend: &B, leaves: usize) -> (usize, usize, f64, f64) {
     let topo = Hierarchy::balanced(leaves, &[2, 2]).unwrap();
     let nodes = topo.node_count();
-    let cfg = D3Config {
-        estimator: estimator(),
-        rule: DistanceOutlierConfig::new(8.0, 0.02),
-        sample_fraction: 0.5,
-    };
     let build = || {
-        build_d3_network(topo.clone(), &cfg, SimConfig::default(), FaultPlan::none()).unwrap()
+        build_backend_network(backend, topo.clone(), SimConfig::default(), FaultPlan::none())
+            .unwrap()
     };
     let mut net = build();
     net.run(&mut source, READINGS);
@@ -72,32 +69,27 @@ fn d3_cell(leaves: usize) -> (usize, usize, f64, f64) {
     (bytes.len(), nodes, encode, restore)
 }
 
-fn mgdd_cell(leaves: usize) -> (usize, usize, f64, f64) {
-    let topo = Hierarchy::balanced(leaves, &[2, 2]).unwrap();
-    let nodes = topo.node_count();
-    let top = topo.level_count() as u8;
-    let cfg = MgddConfig {
+fn d3_cell(leaves: usize) -> (usize, usize, f64, f64) {
+    let backend = D3Backend(D3Config {
         estimator: estimator(),
-        rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
-        sample_fraction: 0.75,
-        updates: UpdateStrategy::EveryAcceptance,
-        staleness_bound_ns: Some(30_000_000_000),
-    };
-    let build = || {
-        build_mgdd_network(topo.clone(), &cfg, SimConfig::default(), FaultPlan::none(), &[top])
-            .unwrap()
-    };
-    let mut net = build();
-    net.run(&mut source, READINGS);
-    let bytes = net.checkpoint();
-    let encode = best_secs(|| {
-        black_box(net.checkpoint());
+        rule: DistanceOutlierConfig::new(8.0, 0.02),
+        sample_fraction: 0.5,
     });
-    let mut target = build();
-    let restore = best_secs(|| {
-        target.restore(black_box(&bytes)).unwrap();
-    });
-    (bytes.len(), nodes, encode, restore)
+    cell(&backend, leaves)
+}
+
+fn mgdd_cell(leaves: usize) -> (usize, usize, f64, f64) {
+    let backend = MgddBackend {
+        cfg: MgddConfig {
+            estimator: estimator(),
+            rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
+            sample_fraction: 0.75,
+            updates: UpdateStrategy::EveryAcceptance,
+            staleness_bound_ns: Some(30_000_000_000),
+        },
+        broadcast_levels: vec![],
+    };
+    cell(&backend, leaves)
 }
 
 fn cell_json(label: &str, (bytes, nodes, encode, restore): (usize, usize, f64, f64)) -> String {

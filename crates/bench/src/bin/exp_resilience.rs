@@ -12,7 +12,7 @@
 //! Knobs: `FIG_LEAVES` (default 16), `FIG_READINGS` (default 4000).
 
 use snod_bench::report::{num, Table};
-use snod_core::{run_d3, D3Config, EstimatorConfig};
+use snod_core::{run_backend, D3Backend, D3Config, EstimatorConfig};
 use snod_outlier::DistanceOutlierConfig;
 use snod_simnet::{Hierarchy, NodeId, SimConfig};
 
@@ -66,7 +66,7 @@ fn main() {
         let topo = Hierarchy::balanced(leaves, &[4, 4]).expect("valid hierarchy");
         let sim = SimConfig::default().with_drop_probability(loss);
         let mut src = make_source();
-        let net = run_d3(topo, &cfg, sim, &mut src, readings).expect("d3 run");
+        let net = run_backend(&D3Backend(cfg), topo, sim, &mut src, readings).expect("d3 run");
         let topo = net.topology();
         let leaf_dets: Vec<_> = topo
             .leaves()

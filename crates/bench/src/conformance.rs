@@ -24,28 +24,27 @@
 //! of a severity ladder, scoring precision/recall per level against the
 //! captured ground truth.
 //!
-//! On top of the fault ladder, [`run_driver_parity`] is the **sim-vs-live
+//! On top of the fault ladder, [`run_backend_parity`] is the **sim-vs-live
 //! differential suite**: the same recorded reading trace is replayed
 //! through the sequential simulator, the parallel simulator and the
-//! wall-clock [`LiveRuntime`] (virtual clock), and the outcomes —
-//! outlier escalation sequences, model epochs, every [`NetStats`]
-//! counter and the complete checkpoint bytes — must be `==` across all
-//! three. This pins the engine crate's driver contract: the detector
-//! engines are pure state machines, and every observable side effect is
-//! produced by shared protocol code executed in the same order by every
-//! driver.
+//! wall-clock [`snod_simnet::LiveRuntime`] (virtual clock), and the
+//! outcomes — outlier escalation sequences, every [`NetStats`] counter
+//! and the complete checkpoint bytes (which hold every engine's model
+//! state, maintenance epochs included) — must be `==` across all three.
+//! This pins the engine crate's driver contract: the detector engines
+//! are pure state machines, and every observable side effect is produced
+//! by shared protocol code executed in the same order by every driver.
 
 use std::collections::HashSet;
 
 use snod_core::{
-    build_backend_live, build_d3_live, run_backend_with_faults, run_d3_with_faults, D3Config,
-    D3Node, D3Payload, Detection, DetectorBackend,
+    build_backend_live, run_backend_with_faults, D3Backend, D3Config, Detection, DetectorBackend,
 };
 use snod_data::{DataStream, SensorStreams};
 use snod_outlier::{MdefConfig, PrecisionRecall};
 use snod_simnet::{
-    FaultPlan, Hierarchy, LinkFault, LiveRuntime, NetStats, Network, NodeId, ReadingTrace,
-    SimConfig, StreamSource, TraceRecorder,
+    FaultPlan, Hierarchy, LinkFault, NetStats, NodeId, ReadingTrace, SimConfig, StreamSource,
+    TraceRecorder,
 };
 
 use crate::harness::{score_level, value_key, ReadingRecord, RecordingSource};
@@ -83,25 +82,42 @@ impl ConformanceConfig {
     }
 }
 
-/// Everything one engine run produced that bit-identity cares about.
+/// Everything one driver run produced that bit-identity cares about.
+/// Two drivers are conformant exactly when their outcomes are `==`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOutcome {
-    /// Full network accounting (message/byte/energy/fault counters).
+    /// Full network accounting (message/byte/energy/fault counters; the
+    /// live runtime reuses the type verbatim).
     pub stats: NetStats,
-    /// Detections per node, indexed by `NodeId::index()`.
+    /// Detections per node, indexed by `NodeId::index()` — order,
+    /// timestamps and values all participate in equality.
     pub detections: Vec<Vec<Detection>>,
+    /// The driver's complete end-of-run checkpoint. Sim and live share
+    /// the checkpoint format (the live runtime's restart policy is
+    /// pinned to `Persistent`, the simulator's default), so the bytes
+    /// must match exactly.
+    pub checkpoint: Vec<u8>,
 }
 
 impl EngineOutcome {
-    fn capture(net: &Network<D3Payload, D3Node>) -> Self {
-        let mut detections = vec![Vec::new(); net.topology().node_count()];
-        for (node, app) in net.apps() {
-            detections[node.index()] = app.detections.clone();
-        }
+    /// Captures a finished simulator (`net.apps()`) or live runtime
+    /// (`rt.engines()`).
+    fn capture<'a, B: DetectorBackend>(
+        engines: impl Iterator<Item = (NodeId, &'a B::Engine)>,
+        stats: &NetStats,
+        checkpoint: Vec<u8>,
+    ) -> Self {
         Self {
-            stats: net.stats().clone(),
-            detections,
+            stats: stats.clone(),
+            detections: engines.map(|(_, e)| B::detections(e).to_vec()).collect(),
+            checkpoint,
         }
+    }
+
+    /// Same counters and detections. (A run's checkpoint also holds its
+    /// fault plan, so runs under different plans compare by this.)
+    pub fn same_trace(&self, other: &Self) -> bool {
+        self.stats == other.stats && self.detections == other.detections
     }
 
     /// All detections across nodes, flattened (for level scoring).
@@ -324,42 +340,32 @@ where
         cfg.mdef_rule,
         cfg.warmup,
     );
-    let net = run_d3_with_faults(
-        topo.clone(),
-        &cfg.d3,
+    let backend = D3Backend(cfg.d3);
+    let baseline_outcome = sim_outcome(
+        &backend,
+        &topo,
         cfg.sim,
         FaultPlan::none(),
         &mut recording,
         cfg.readings_per_leaf(),
-    )
-    .expect("conformance D3 config is valid");
+    );
     let records = std::mem::take(&mut recording.records);
-    let baseline_outcome = EngineOutcome::capture(&net);
     let baseline = score_outcome(
         "baseline",
         FaultPlan::none(),
-        baseline_outcome.clone(),
+        baseline_outcome,
         &records,
         root_level,
     );
 
     let replay = |plan: FaultPlan, sim: SimConfig| -> EngineOutcome {
         let mut source = BankSource::new(SensorStreams::generate(cfg.leaves, &make_stream), &topo);
-        let net = run_d3_with_faults(
-            topo.clone(),
-            &cfg.d3,
-            sim,
-            plan,
-            &mut source,
-            cfg.readings_per_leaf(),
-        )
-        .expect("conformance D3 config is valid");
-        EngineOutcome::capture(&net)
+        sim_outcome(&backend, &topo, sim, plan, &mut source, cfg.readings_per_leaf())
     };
 
     // Claim 1a: zero-probability plan == no plan, bit for bit.
     let zero = replay(zero_probability_plan(7, horizon_ns), cfg.sim);
-    let zero_fault_bit_identical = zero == baseline.outcome;
+    let zero_fault_bit_identical = zero.same_trace(&baseline.outcome);
 
     // Severity ladder.
     let ladder_plans = default_ladder(&topo, 0x00C0_FFEE, horizon_ns);
@@ -391,97 +397,18 @@ where
     }
 }
 
-/// Everything the sim-vs-live equivalence claim covers, captured from
-/// one driver run: network counters, per-node outlier escalations,
-/// per-node model-maintenance epochs, and the complete checkpoint bytes.
-/// Two drivers are conformant exactly when their `DriverOutcome`s are
-/// `==`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriverOutcome {
-    /// Full network accounting ([`NetStats`]-equivalent counters; the
-    /// live runtime reuses the type verbatim).
-    pub stats: NetStats,
-    /// Detections per node, indexed by `NodeId::index()` — order,
-    /// timestamps and values all participate in equality.
-    pub detections: Vec<Vec<Detection>>,
-    /// Model epochs per node estimator (evictions/admissions of the
-    /// online model — the "model maintenance" clock).
-    pub epochs: Vec<u64>,
-    /// The driver's complete end-of-run checkpoint. Sim and live share
-    /// the checkpoint format (the live runtime's restart policy is
-    /// pinned to `Persistent`, the simulator's default), so the bytes
-    /// must match exactly.
-    pub checkpoint: Vec<u8>,
-}
-
-impl DriverOutcome {
-    fn from_sim(net: &Network<D3Payload, D3Node>) -> Self {
-        let base = EngineOutcome::capture(net);
-        Self {
-            stats: base.stats,
-            detections: base.detections,
-            epochs: net.apps().map(|(_, a)| a.estimator().epochs()).collect(),
-            checkpoint: net.checkpoint(),
-        }
-    }
-
-    fn from_live(rt: &LiveRuntime<D3Payload, D3Node>) -> Self {
-        let mut detections = vec![Vec::new(); rt.topology().node_count()];
-        for (node, engine) in rt.engines() {
-            detections[node.index()] = engine.detections.clone();
-        }
-        Self {
-            stats: rt.stats().clone(),
-            detections,
-            epochs: rt.engines().map(|(_, a)| a.estimator().epochs()).collect(),
-            checkpoint: rt.checkpoint(),
-        }
-    }
-}
-
-/// One seed × fault setting of the driver-parity matrix.
-#[derive(Debug, Clone)]
-pub struct DriverParityCase {
-    /// Stream/fault seed of this case.
-    pub seed: u64,
-    /// Whether the severe fault plan was installed.
-    pub faulted: bool,
-    /// Readings the recorded trace carries (sanity: non-empty).
-    pub trace_len: usize,
-    /// The sequential simulator's outcome (the reference).
-    pub reference: DriverOutcome,
-    /// Parallel simulator (4 workers) replayed the trace bit-identically.
-    pub sim_parallel_identical: bool,
-    /// The live runtime replayed the trace bit-identically — same
-    /// escalation sequence, epochs, counters and checkpoint bytes.
-    pub live_identical: bool,
-}
-
-/// The full sim-vs-live differential report.
-#[derive(Debug, Clone)]
-pub struct DriverParityReport {
-    /// One row per seed × fault setting.
-    pub cases: Vec<DriverParityCase>,
-}
-
-impl DriverParityReport {
-    /// True when every case was bit-identical across all three drivers.
-    pub fn all_identical(&self) -> bool {
-        !self.cases.is_empty()
-            && self
-                .cases
-                .iter()
-                .all(|c| c.sim_parallel_identical && c.live_identical && c.trace_len > 0)
-    }
-
-    /// Cases that diverged, for failure messages.
-    pub fn divergent(&self) -> Vec<(u64, bool)> {
-        self.cases
-            .iter()
-            .filter(|c| !(c.sim_parallel_identical && c.live_identical))
-            .map(|c| (c.seed, c.faulted))
-            .collect()
-    }
+/// Runs `backend` under the simulator and captures the outcome.
+fn sim_outcome<B: DetectorBackend, S: StreamSource>(
+    backend: &B,
+    topo: &Hierarchy,
+    sim: SimConfig,
+    plan: FaultPlan,
+    source: &mut S,
+    readings_per_leaf: u64,
+) -> EngineOutcome {
+    let net = run_backend_with_faults(backend, topo.clone(), sim, plan, source, readings_per_leaf)
+        .expect("backend recipe is valid");
+    EngineOutcome::capture::<B>(net.apps(), net.stats(), net.checkpoint())
 }
 
 /// The severe rung of [`default_ladder`], reseeded — the plan the parity
@@ -491,135 +418,6 @@ fn severe_plan(topo: &Hierarchy, seed: u64, horizon_ns: u64) -> FaultPlan {
         .pop()
         .expect("non-empty ladder")
         .1
-}
-
-/// Runs the sim-vs-live differential conformance matrix: for every seed
-/// and fault setting, the identical reading trace is replayed through
-/// three drivers —
-///
-/// 1. the **sequential simulator** (records the trace and serves as the
-///    reference),
-/// 2. the **parallel simulator** (4 workers), and
-/// 3. the **live runtime** (one worker thread per node, virtual clock),
-///
-/// asserting that outlier escalations, model epochs, every [`NetStats`]
-/// counter and the complete checkpoint bytes are identical. This is the
-/// executable form of the engine crate's driver contract: all three
-/// drivers run the same pre/post-phase protocol code around the same
-/// [`snod_simnet::DetectorEngine`] callbacks, so nothing observable may
-/// depend on which runtime hosts the engines.
-///
-/// `make_stream(seed, leaf)` must be deterministic in its arguments.
-pub fn run_driver_parity<F, S>(
-    cfg: &ConformanceConfig,
-    seeds: &[u64],
-    make_stream: F,
-) -> DriverParityReport
-where
-    F: Fn(u64, usize) -> S,
-    S: DataStream + Send + 'static,
-{
-    let topo = cfg.topology();
-    let horizon_ns = cfg.readings_per_leaf() * cfg.sim.reading_period_ns;
-    let mut cases = Vec::new();
-    for &seed in seeds {
-        for faulted in [false, true] {
-            let plan = if faulted {
-                severe_plan(&topo, seed, horizon_ns)
-            } else {
-                FaultPlan::none()
-            };
-
-            // Reference pass: the sequential simulator, recording the
-            // trace it actually ingested.
-            let bank = BankSource::new(
-                SensorStreams::generate(cfg.leaves, |leaf| make_stream(seed, leaf)),
-                &topo,
-            );
-            let mut recorder = TraceRecorder::new(bank);
-            let net = run_d3_with_faults(
-                topo.clone(),
-                &cfg.d3,
-                cfg.sim,
-                plan.clone(),
-                &mut recorder,
-                cfg.readings_per_leaf(),
-            )
-            .expect("conformance D3 config is valid");
-            let trace = recorder.into_trace();
-            let reference = DriverOutcome::from_sim(&net);
-
-            // Replay 1: parallel simulator on the recorded trace.
-            let mut replay: ReadingTrace = trace.clone();
-            let par = run_d3_with_faults(
-                topo.clone(),
-                &cfg.d3,
-                cfg.sim.with_worker_threads(4),
-                plan.clone(),
-                &mut replay,
-                cfg.readings_per_leaf(),
-            )
-            .expect("conformance D3 config is valid");
-            let par_outcome = DriverOutcome::from_sim(&par);
-
-            // Replay 2: the live runtime on the same trace.
-            let mut rt = build_d3_live(topo.clone(), &cfg.d3, cfg.sim, plan.clone())
-                .expect("conformance D3 config is valid");
-            let mut replay = trace.clone();
-            rt.run(&mut replay, cfg.readings_per_leaf());
-            let live_outcome = DriverOutcome::from_live(&rt);
-
-            cases.push(DriverParityCase {
-                seed,
-                faulted,
-                trace_len: trace.len(),
-                sim_parallel_identical: par_outcome == reference,
-                live_identical: live_outcome == reference,
-                reference,
-            });
-        }
-    }
-    DriverParityReport { cases }
-}
-
-/// Backend-generic driver outcome: the observables every
-/// [`DetectorBackend`] exposes. (The D3-specific [`DriverOutcome`]
-/// additionally pins the estimator's model-epoch clock, which not every
-/// backend has.)
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendOutcome {
-    /// Full network accounting.
-    pub stats: NetStats,
-    /// Detections per node, indexed by `NodeId::index()`.
-    pub detections: Vec<Vec<Detection>>,
-    /// The driver's complete end-of-run checkpoint bytes.
-    pub checkpoint: Vec<u8>,
-}
-
-fn capture_backend_sim<B: DetectorBackend>(net: &Network<B::Payload, B::Engine>) -> BackendOutcome {
-    let mut detections = vec![Vec::new(); net.topology().node_count()];
-    for (node, app) in net.apps() {
-        detections[node.index()] = B::detections(app).to_vec();
-    }
-    BackendOutcome {
-        stats: net.stats().clone(),
-        detections,
-        checkpoint: net.checkpoint(),
-    }
-}
-
-fn capture_backend_live<B: DetectorBackend>(
-    rt: &LiveRuntime<B::Payload, B::Engine>,
-) -> BackendOutcome {
-    let mut detections = vec![Vec::new(); rt.topology().node_count()];
-    for (node, engine) in rt.engines() {
-        detections[node.index()] = B::detections(engine).to_vec();
-    }
-    BackendOutcome {
-        stats: rt.stats().clone(),
-        detections,
-        checkpoint: rt.checkpoint(),
-    }
 }
 
 /// One seed × fault setting of the backend parity matrix.
@@ -632,14 +430,14 @@ pub struct BackendParityCase {
     /// Readings the recorded trace carries.
     pub trace_len: usize,
     /// The sequential simulator's outcome (the reference).
-    pub reference: BackendOutcome,
+    pub reference: EngineOutcome,
     /// Parallel simulator (4 workers) replayed the trace bit-identically.
     pub sim_parallel_identical: bool,
     /// The live runtime replayed the trace bit-identically.
     pub live_identical: bool,
 }
 
-/// The backend-generic sim-vs-live differential report.
+/// The sim-vs-live differential report.
 #[derive(Debug, Clone)]
 pub struct BackendParityReport {
     /// One row per seed × fault setting.
@@ -666,11 +464,21 @@ impl BackendParityReport {
     }
 }
 
-/// [`run_driver_parity`] for an arbitrary [`DetectorBackend`] recipe:
-/// for every seed × fault setting, record one trace under the
-/// sequential simulator, then replay it through the parallel simulator
-/// (4 workers) and the live runtime, asserting the stats, the per-node
-/// detection sequences and the checkpoint bytes are all `==`.
+/// Runs the sim-vs-live differential conformance matrix for any
+/// [`DetectorBackend`] recipe: for every seed and fault setting, the
+/// identical reading trace is replayed through three drivers —
+///
+/// 1. the **sequential simulator** (records the trace and serves as the
+///    reference),
+/// 2. the **parallel simulator** (4 workers), and
+/// 3. the **live runtime** (one worker thread per node, virtual clock),
+///
+/// asserting that the stats, the per-node detection sequences and the
+/// checkpoint bytes are all `==`. This is the executable form of the
+/// engine crate's driver contract: all three drivers run the same
+/// pre/post-phase protocol code around the same
+/// [`snod_simnet::DetectorEngine`] callbacks, so nothing observable may
+/// depend on which runtime hosts the engines.
 ///
 /// `make_stream(seed, leaf)` must be deterministic in its arguments.
 pub fn run_backend_parity<B, F, S>(
@@ -705,37 +513,34 @@ where
                 &topo,
             );
             let mut recorder = TraceRecorder::new(bank);
-            let net = run_backend_with_faults(
+            let reference = sim_outcome(
                 backend,
-                topo.clone(),
+                &topo,
                 sim,
                 plan.clone(),
                 &mut recorder,
                 readings_per_leaf,
-            )
-            .expect("backend recipe is valid");
+            );
             let trace = recorder.into_trace();
-            let reference = capture_backend_sim::<B>(&net);
 
             // Replay 1: parallel simulator on the recorded trace.
             let mut replay: ReadingTrace = trace.clone();
-            let par = run_backend_with_faults(
+            let par_outcome = sim_outcome(
                 backend,
-                topo.clone(),
+                &topo,
                 sim.with_worker_threads(4),
                 plan.clone(),
                 &mut replay,
                 readings_per_leaf,
-            )
-            .expect("backend recipe is valid");
-            let par_outcome = capture_backend_sim::<B>(&par);
+            );
 
             // Replay 2: the live runtime on the same trace.
             let mut rt = build_backend_live(backend, topo.clone(), sim, plan.clone())
                 .expect("backend recipe is valid");
             let mut replay = trace.clone();
             rt.run(&mut replay, readings_per_leaf);
-            let live_outcome = capture_backend_live::<B>(&rt);
+            let live_outcome =
+                EngineOutcome::capture::<B>(rt.engines(), rt.stats(), rt.checkpoint());
 
             cases.push(BackendParityCase {
                 seed,
@@ -851,56 +656,41 @@ mod tests {
 
     #[test]
     fn live_runtime_matches_simulator_on_one_seed() {
-        // The full 3-seed × fault matrix runs as an integration test
-        // (`tests/driver_parity.rs`); this pins one faulted seed inline.
-        let report = run_driver_parity(&test_config(), &[5], |seed, sensor| SpikeStream {
-            sensor: sensor + seed as usize,
-            n: 0,
-        });
-        assert!(
-            report.all_identical(),
-            "drivers diverged on {:?}",
-            report.divergent()
-        );
-        assert!(report
-            .cases
-            .iter()
-            .any(|c| c.faulted && !c.reference.checkpoint.is_empty()));
-    }
-
-    #[test]
-    fn backend_parity_matches_the_d3_specific_harness_shape() {
-        // One faulted seed through the generic harness for each new
-        // backend; the full matrix runs in `tests/driver_parity.rs`.
-        let fqn = snod_core::FqnBackend(snod_core::FqnConfig {
+        // One faulted seed per containment rule through the parity
+        // harness; the full 3-seed × fault matrix for every backend runs
+        // as an integration test (`tests/driver_parity.rs`).
+        fn one_seed<B: DetectorBackend>(backend: &B) {
+            let report = run_backend_parity(
+                backend,
+                4,
+                &[2, 2],
+                test_config().sim,
+                500,
+                &[5],
+                |seed, sensor| SpikeStream {
+                    sensor: sensor + seed as usize,
+                    n: 0,
+                },
+            );
+            assert!(
+                report.all_identical(),
+                "{} drivers diverged on {:?}",
+                backend.kind(),
+                report.divergent()
+            );
+            assert!(report.cases.iter().any(|c| c.faulted
+                && !c.reference.checkpoint.is_empty()
+                && c.reference.detections.iter().any(|d| !d.is_empty())));
+        }
+        one_seed(&D3Backend(test_config().d3));
+        one_seed(&snod_core::FqnBackend(snod_core::FqnConfig {
             dimensions: 1,
             window: 128,
             k_scale: 4.0,
             warmup: 32,
             sample_fraction: 0.5,
             seed: 9,
-        });
-        let report = run_backend_parity(
-            &fqn,
-            4,
-            &[2, 2],
-            SimConfig::default().with_reliability(snod_simnet::RetryPolicy::default()),
-            500,
-            &[5],
-            |seed, sensor| SpikeStream {
-                sensor: sensor + seed as usize,
-                n: 0,
-            },
-        );
-        assert!(
-            report.all_identical(),
-            "fqn drivers diverged on {:?}",
-            report.divergent()
-        );
-        assert!(report
-            .cases
-            .iter()
-            .any(|c| c.reference.detections.iter().any(|d| !d.is_empty())));
+        }));
     }
 
     #[test]

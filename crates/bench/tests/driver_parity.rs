@@ -1,12 +1,14 @@
 //! Sim-vs-live differential conformance: the same recorded reading
 //! trace replayed through the sequential simulator, the parallel
 //! simulator and the live runtime must produce identical outlier
-//! escalations, model epochs, NetStats counters and checkpoint bytes —
-//! across seeds, with and without fault injection.
+//! escalations, NetStats counters and checkpoint bytes (model epochs
+//! included) — for every backend, across seeds, with and without fault
+//! injection.
 
-use snod_bench::conformance::{run_backend_parity, run_driver_parity, ConformanceConfig};
+use snod_bench::conformance::{run_backend_parity, BackendParityReport};
 use snod_core::{
-    D3Config, EstimatorConfig, FqnBackend, FqnConfig, MmdewBackend, MmdewNodeConfig,
+    D3Backend, D3Config, DetectorBackend, EstimatorConfig, FqnBackend, FqnConfig, MgddBackend,
+    MgddConfig, MmdewBackend, MmdewNodeConfig, UpdateStrategy,
 };
 use snod_data::DataStream;
 use snod_outlier::{DistanceOutlierConfig, MdefConfig};
@@ -35,44 +37,63 @@ impl DataStream for SeededSpikes {
     }
 }
 
-fn config() -> ConformanceConfig {
-    ConformanceConfig {
-        leaves: 4,
-        fanouts: vec![2, 2],
-        d3: D3Config {
-            estimator: EstimatorConfig::builder()
-                .window(300)
-                .sample_size(60)
-                .seed(9)
-                .build()
-                .unwrap(),
-            rule: DistanceOutlierConfig::new(8.0, 0.02),
-            sample_fraction: 0.5,
+fn estimator() -> EstimatorConfig {
+    EstimatorConfig::builder()
+        .window(300)
+        .sample_size(60)
+        .seed(9)
+        .build()
+        .unwrap()
+}
+
+/// 3 seeds × (faultless, severe plan) = 6 cases; every case replays one
+/// trace through three drivers.
+fn parity_matrix<B, S>(backend: &B, readings: u64, stream: fn(u64) -> S) -> BackendParityReport
+where
+    B: DetectorBackend,
+    S: DataStream + Send + 'static,
+{
+    let report = run_backend_parity(
+        backend,
+        4,
+        &[2, 2],
+        SimConfig::default().with_reliability(RetryPolicy::default()),
+        readings,
+        &[1, 42, 0xFEED],
+        |seed, leaf| {
+            stream(
+                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(leaf as u64 * 131),
+            )
         },
-        window: 300,
-        mdef_rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
-        warmup: 300,
-        eval: 400,
-        sim: SimConfig::default().with_reliability(RetryPolicy::default()),
-    }
+    );
+    assert_eq!(report.cases.len(), 6);
+    assert!(
+        report.all_identical(),
+        "{} drivers diverged on (seed, faulted) cases {:?}",
+        backend.kind(),
+        report.divergent()
+    );
+    // Detections exist somewhere, or the equivalence claim is hollow.
+    assert!(report
+        .cases
+        .iter()
+        .any(|c| c.reference.detections.iter().any(|d| !d.is_empty())));
+    report
+}
+
+fn spikes(salt: u64) -> SeededSpikes {
+    SeededSpikes { salt, n: 0 }
 }
 
 #[test]
 fn drivers_are_bit_identical_across_seeds_and_faults() {
-    // 3 seeds × (faultless, severe plan) = 6 cases; every case replays
-    // one trace through three drivers.
-    let report = run_driver_parity(&config(), &[1, 42, 0xFEED], |seed, leaf| SeededSpikes {
-        salt: seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(leaf as u64 * 131),
-        n: 0,
+    let backend = D3Backend(D3Config {
+        estimator: estimator(),
+        rule: DistanceOutlierConfig::new(8.0, 0.02),
+        sample_fraction: 0.5,
     });
-    assert_eq!(report.cases.len(), 6);
-    assert!(
-        report.all_identical(),
-        "drivers diverged on (seed, faulted) cases {:?}",
-        report.divergent()
-    );
+    let report = parity_matrix(&backend, 700, spikes);
     // The matrix is not vacuous: every case ingested data, and the
     // faulted runs actually exercised the fault layer.
     for case in &report.cases {
@@ -86,11 +107,34 @@ fn drivers_are_bit_identical_across_seeds_and_faults() {
             );
         }
     }
-    // Detections exist somewhere, or the equivalence claim is hollow.
-    assert!(report
-        .cases
-        .iter()
-        .any(|c| c.reference.detections.iter().any(|d| !d.is_empty())));
+}
+
+#[test]
+fn mgdd_drivers_are_bit_identical_across_seeds_and_faults() {
+    let backend = MgddBackend {
+        cfg: MgddConfig {
+            estimator: estimator(),
+            rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
+            sample_fraction: 0.5,
+            updates: UpdateStrategy::EveryAcceptance,
+            staleness_bound_ns: None,
+        },
+        broadcast_levels: vec![],
+    };
+    parity_matrix(&backend, 700, spikes);
+}
+
+#[test]
+fn fqn_drivers_are_bit_identical_across_seeds_and_faults() {
+    let backend = FqnBackend(FqnConfig {
+        dimensions: 1,
+        window: 128,
+        k_scale: 4.0,
+        warmup: 32,
+        sample_fraction: 0.5,
+        seed: 9,
+    });
+    parity_matrix(&backend, 700, spikes);
 }
 
 /// Deterministic per-(seed, leaf) piecewise-stationary stream: the mean
@@ -113,69 +157,9 @@ impl DataStream for SeededShifts {
 }
 
 #[test]
-fn fqn_drivers_are_bit_identical_across_seeds_and_faults() {
-    let backend = FqnBackend(FqnConfig {
-        dimensions: 1,
-        window: 128,
-        k_scale: 4.0,
-        warmup: 32,
-        sample_fraction: 0.5,
-        seed: 9,
-    });
-    let report = run_backend_parity(
-        &backend,
-        4,
-        &[2, 2],
-        SimConfig::default().with_reliability(RetryPolicy::default()),
-        700,
-        &[1, 42, 0xFEED],
-        |seed, leaf| SeededSpikes {
-            salt: seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(leaf as u64 * 131),
-            n: 0,
-        },
-    );
-    assert_eq!(report.cases.len(), 6);
-    assert!(
-        report.all_identical(),
-        "fqn drivers diverged on (seed, faulted) cases {:?}",
-        report.divergent()
-    );
-    assert!(report
-        .cases
-        .iter()
-        .any(|c| c.reference.detections.iter().any(|d| !d.is_empty())));
-}
-
-#[test]
 fn mmdew_drivers_are_bit_identical_across_seeds_and_faults() {
     let mut cfg = MmdewNodeConfig::default();
     cfg.detector.bucket_cap = 16;
     cfg.detector.min_per_side = 8;
-    let backend = MmdewBackend(cfg);
-    let report = run_backend_parity(
-        &backend,
-        4,
-        &[2, 2],
-        SimConfig::default().with_reliability(RetryPolicy::default()),
-        700,
-        &[1, 42, 0xFEED],
-        |seed, leaf| SeededShifts {
-            salt: seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(leaf as u64 * 131),
-            n: 0,
-        },
-    );
-    assert_eq!(report.cases.len(), 6);
-    assert!(
-        report.all_identical(),
-        "mmdew drivers diverged on (seed, faulted) cases {:?}",
-        report.divergent()
-    );
-    assert!(report
-        .cases
-        .iter()
-        .any(|c| c.reference.detections.iter().any(|d| !d.is_empty())));
+    parity_matrix(&MmdewBackend(cfg), 700, |salt| SeededShifts { salt, n: 0 });
 }

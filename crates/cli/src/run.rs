@@ -149,28 +149,6 @@ where
     }
 }
 
-/// Collects a live-runtime run into the pipeline's report shape.
-fn live_report<P, A>(
-    rt: &snod_simnet::LiveRuntime<P, A>,
-    detections: impl Fn(&A) -> &[snod_core::Detection],
-) -> snod_core::pipeline::PipelineReport
-where
-    P: snod_simnet::Wire,
-    A: snod_simnet::DetectorEngine<P>,
-{
-    let mut by_level: std::collections::BTreeMap<u8, Vec<snod_core::Detection>> =
-        std::collections::BTreeMap::new();
-    for (_, engine) in rt.engines() {
-        for d in detections(engine) {
-            by_level.entry(d.level).or_default().push(d.clone());
-        }
-    }
-    snod_core::pipeline::PipelineReport {
-        detections_by_level: by_level,
-        stats: rt.stats().clone(),
-    }
-}
-
 /// `snod simulate`: run a distributed algorithm over a synthetic
 /// hierarchy and report detections plus network cost.
 pub fn simulate(args: &SimulateArgs, out: &mut dyn Write) -> Result<(), CliError> {
@@ -241,9 +219,8 @@ pub fn simulate(args: &SimulateArgs, out: &mut dyn Write) -> Result<(), CliError
             .checkpoint_at
             .map(|k| k.saturating_mul(sim.reading_period_ns)),
     };
-    let pipeline = OutlierPipeline::balanced(args.leaves, &fanouts, sim, algorithm.clone())
+    let pipeline = OutlierPipeline::balanced(args.leaves, &fanouts, sim, algorithm)
         .map_err(|e| format!("pipeline setup failed: {e}"))?;
-    let topo = pipeline.topology().clone();
     let mut streams = SensorStreams::generate(args.leaves, |i| {
         GaussianMixtureStream::new(1, 77 + i as u64)
     });
@@ -253,7 +230,7 @@ pub fn simulate(args: &SimulateArgs, out: &mut dyn Write) -> Result<(), CliError
     // requested position keeps resumed values identical to the ones the
     // original run saw (each leaf's seqs arrive in increasing order).
     let mut consumed = vec![0u64; args.leaves];
-    let synth_topo = topo.clone();
+    let synth_topo = pipeline.topology().clone();
     let mut source = SimSource {
         replay: match &args.replay {
             Some(p) => Some(
@@ -273,69 +250,14 @@ pub fn simulate(args: &SimulateArgs, out: &mut dyn Write) -> Result<(), CliError
         },
         record: args.record.as_ref().map(|_| ReadingTrace::new()),
     };
+    // The live runtime drives real worker threads per node; it has no
+    // checkpoint schedule, so those flags were rejected upstream.
     let report = if args.driver == "live" {
-        // The live runtime drives real worker threads per node; it has
-        // no checkpoint schedule, so those flags were rejected upstream.
-        match &algorithm {
-            Algorithm::D3(cfg) => {
-                let mut rt = snod_core::build_d3_live(
-                    topo.clone(),
-                    cfg,
-                    sim,
-                    snod_simnet::FaultPlan::none(),
-                )
-                .map_err(|e| format!("simulation failed: {e}"))?;
-                rt.run(&mut source, args.readings);
-                live_report(&rt, |a| a.detections.as_slice())
-            }
-            Algorithm::Mgdd(cfg, levels) => {
-                let levels = if levels.is_empty() {
-                    vec![topo.level_count() as u8]
-                } else {
-                    levels.clone()
-                };
-                let mut rt = snod_core::build_mgdd_live(
-                    topo.clone(),
-                    cfg,
-                    sim,
-                    snod_simnet::FaultPlan::none(),
-                    &levels,
-                )
-                .map_err(|e| format!("simulation failed: {e}"))?;
-                rt.run(&mut source, args.readings);
-                live_report(&rt, |a| a.detections.as_slice())
-            }
-            Algorithm::Fqn(cfg) => {
-                let mut rt = snod_core::build_fqn_live(
-                    topo.clone(),
-                    cfg,
-                    sim,
-                    snod_simnet::FaultPlan::none(),
-                )
-                .map_err(|e| format!("simulation failed: {e}"))?;
-                rt.run(&mut source, args.readings);
-                live_report(&rt, |a| a.detections.as_slice())
-            }
-            Algorithm::Mmdew(cfg) => {
-                let mut rt = snod_core::build_mmdew_live(
-                    topo.clone(),
-                    cfg,
-                    sim,
-                    snod_simnet::FaultPlan::none(),
-                )
-                .map_err(|e| format!("simulation failed: {e}"))?;
-                rt.run(&mut source, args.readings);
-                live_report(&rt, |a| a.detections.as_slice())
-            }
-            Algorithm::Centralized(..) => {
-                unreachable!("rejected by argument validation")
-            }
-        }
+        pipeline.run_live(&mut source, args.readings)
     } else {
-        pipeline
-            .run_checkpointed(&mut source, args.readings, &ckpt)
-            .map_err(|e| format!("simulation failed: {e}"))?
-    };
+        pipeline.run_checkpointed(&mut source, args.readings, &ckpt)
+    }
+    .map_err(|e| format!("simulation failed: {e}"))?;
     if let (Some(p), Some(trace)) = (&args.record, source.record.take()) {
         trace
             .write_file(std::path::Path::new(p))

@@ -24,10 +24,10 @@ use snod_simnet::{
 };
 
 use crate::config::{CoreError, D3Config, MgddConfig};
-use crate::d3::{D3Node, D3Payload, Detection};
+use crate::containment::Detection;
+use crate::d3::{D3Node, D3Payload};
 use crate::fqn::{FqnConfig, FqnNode, FqnPayload};
-use crate::mgdd::MgddNode;
-use crate::mgdd::MgddPayload;
+use crate::mgdd::{MgddNode, MgddPayload};
 use crate::shift::{MmdewNode, MmdewNodeConfig, MmdewPayload};
 
 /// The detector families selectable at runtime (CLI `--detector`,
@@ -138,7 +138,8 @@ impl DetectorBackend for D3Backend {
 pub struct MgddBackend {
     /// The MGDD parameters.
     pub cfg: MgddConfig,
-    /// Tiers whose leaders broadcast models (1 = leaf tier).
+    /// Tiers whose leaders broadcast models (1 = leaf tier). Empty means
+    /// the paper's default: the top tier only.
     pub broadcast_levels: Vec<u8>,
 }
 
@@ -155,7 +156,13 @@ impl DetectorBackend for MgddBackend {
     }
 
     fn make_engine(&self, node: NodeId, topo: &Hierarchy) -> MgddNode {
-        MgddNode::new(node, topo, &self.cfg, &self.broadcast_levels)
+        let top = [topo.level_count() as u8];
+        let levels = if self.broadcast_levels.is_empty() {
+            &top[..]
+        } else {
+            &self.broadcast_levels
+        };
+        MgddNode::new(node, topo, &self.cfg, levels)
     }
 
     fn detections(engine: &MgddNode) -> &[Detection] {
@@ -253,36 +260,22 @@ pub fn run_backend_with_faults<B: DetectorBackend, S: StreamSource>(
     Ok(net)
 }
 
+/// [`run_backend_with_faults`] under [`FaultPlan::none()`].
+pub fn run_backend<B: DetectorBackend, S: StreamSource>(
+    backend: &B,
+    topo: Hierarchy,
+    sim: SimConfig,
+    source: &mut S,
+    readings_per_leaf: u64,
+) -> Result<Network<B::Payload, B::Engine>, CoreError> {
+    run_backend_with_faults(backend, topo, sim, FaultPlan::none(), source, readings_per_leaf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EstimatorConfig;
-    use snod_outlier::DistanceOutlierConfig;
-
-    fn d3_backend() -> D3Backend {
-        D3Backend(D3Config {
-            estimator: EstimatorConfig::builder()
-                .window(500)
-                .sample_size(64)
-                .seed(7)
-                .build()
-                .unwrap(),
-            rule: DistanceOutlierConfig::new(10.0, 0.02),
-            sample_fraction: 0.5,
-        })
-    }
-
-    fn spiky_source() -> impl FnMut(NodeId, u64) -> Option<Vec<f64>> {
-        |node: NodeId, seq: u64| {
-            if node.0 == 0 && seq % 100 == 99 {
-                Some(vec![0.9])
-            } else {
-                Some(vec![
-                    0.45 + 0.002 * ((seq % 25) as f64) + 0.001 * node.0 as f64,
-                ])
-            }
-        }
-    }
+    use crate::config::{EstimatorConfig, UpdateStrategy};
+    use snod_outlier::{DistanceOutlierConfig, MdefConfig};
 
     #[test]
     fn kind_tokens_round_trip() {
@@ -293,45 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn generic_build_matches_the_concrete_builder() {
-        // The abstraction must not change behavior: the generic builder
-        // and run_d3 produce bit-identical stats and detections.
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let backend = d3_backend();
-        let mut a = spiky_source();
-        let generic = run_backend_with_faults(
-            &backend,
-            topo.clone(),
-            SimConfig::default(),
-            FaultPlan::none(),
-            &mut a,
-            600,
-        )
-        .unwrap();
-        let mut b = spiky_source();
-        let concrete = crate::d3::run_d3(
-            topo,
-            &backend.0,
-            SimConfig::default(),
-            &mut b,
-            600,
-        )
-        .unwrap();
-        assert_eq!(generic.stats(), concrete.stats());
-        for (node, app) in generic.apps() {
-            assert_eq!(
-                D3Backend::detections(app),
-                &concrete.app(node).detections[..]
-            );
-        }
-        assert_eq!(generic.checkpoint(), concrete.checkpoint());
-    }
-
-    #[test]
     fn every_backend_runs_end_to_end() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-
-        fn drive<B: DetectorBackend>(backend: &B, topo: Hierarchy) -> usize {
+        fn drive<B: DetectorBackend>(backend: &B) -> usize {
+            let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
             let mut source = |node: NodeId, seq: u64| {
                 let base = if seq < 200 { 0.3 } else { 0.7 };
                 if node.0 == 0 && seq % 90 == 89 {
@@ -342,27 +299,38 @@ mod tests {
                     ])
                 }
             };
-            let net = run_backend_with_faults(
-                backend,
-                topo,
-                SimConfig::default(),
-                FaultPlan::none(),
-                &mut source,
-                400,
-            )
-            .unwrap();
+            let net = run_backend(backend, topo, SimConfig::default(), &mut source, 400).unwrap();
             net.apps().map(|(_, a)| B::detections(a).len()).sum()
         }
 
-        assert!(drive(&d3_backend(), topo.clone()) > 0, "d3 silent");
-        assert!(
-            drive(&FqnBackend(FqnConfig::default()), topo.clone()) > 0,
-            "fqn silent"
-        );
-        assert!(
-            drive(&MmdewBackend(MmdewNodeConfig::default()), topo) > 0,
-            "mmdew silent"
-        );
+        let estimator = EstimatorConfig::builder()
+            .window(500)
+            .sample_size(64)
+            .seed(7)
+            .build()
+            .unwrap();
+        for kind in BackendKind::ALL {
+            let detections = match kind {
+                BackendKind::D3 => drive(&D3Backend(D3Config {
+                    estimator,
+                    rule: DistanceOutlierConfig::new(10.0, 0.02),
+                    sample_fraction: 0.5,
+                })),
+                BackendKind::Mgdd => drive(&MgddBackend {
+                    cfg: MgddConfig {
+                        estimator,
+                        rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
+                        sample_fraction: 0.5,
+                        updates: UpdateStrategy::EveryAcceptance,
+                        staleness_bound_ns: None,
+                    },
+                    broadcast_levels: vec![],
+                }),
+                BackendKind::Fqn => drive(&FqnBackend(FqnConfig::default())),
+                BackendKind::Mmdew => drive(&MmdewBackend(MmdewNodeConfig::default())),
+            };
+            assert!(detections > 0, "{kind} silent");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use snod_simnet::{
 };
 
 use crate::config::CoreError;
-use crate::d3::Detection;
+use crate::containment::Detection;
 
 /// Centralized wire message: one raw reading.
 #[derive(Debug, Clone)]

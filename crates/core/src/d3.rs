@@ -1,496 +1,109 @@
 //! Algorithm D3 — Distributed Deviation Detection (paper Section 7,
-//! Figure 4).
+//! Figure 4): the containment engine (`containment.rs`) under the
+//! kernel-density distance rule.
 //!
-//! Leaves test every reading against their local model and push two kinds
-//! of traffic upward: values accepted by their chain sample (with
-//! probability `f` — this keeps the parents' samples fresh) and values
-//! flagged as outliers. Parents re-check received outliers against their
-//! own (region-level) model and escalate survivors. Theorem 3 makes this
-//! sound: an outlier of the union window is necessarily an outlier of
-//! some child window, so parents never need to see non-flagged values.
+//! Because a leader's arrival stream is a uniform random sample of its
+//! subtree's readings, `N(p, r) < t` at a leader is a *density* test
+//! over the region: it scales the conceptual union-window threshold
+//! `t·Σ|Wᵢ|/|W|` down to the arrival window, with the same `|W|`, `|R|`
+//! and threshold `t` at every tier.
 
-use rand::Rng;
-
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError, SeededRng};
-use snod_simnet::{
-    Ctx, DetectorEngine, FaultPlan, Hierarchy, Network, NodeId, SimConfig, StreamSource, Wire,
-};
+use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
 
 use crate::config::{CoreError, D3Config};
+use crate::containment::{ContainmentNode, ContainmentPayload, LeafRule};
 use crate::estimator::SensorEstimator;
 
 /// D3 wire messages.
-#[derive(Debug, Clone)]
-pub enum D3Payload {
-    /// A value the sender's chain sample accepted, forwarded so the
-    /// parent's sample stays representative (D3 lines 14–15 / 28–30).
-    SampleValue(Vec<f64>),
-    /// A value flagged as an outlier at the sender's level
-    /// (D3 lines 17–19 / 23–27).
-    Outlier(Vec<f64>),
-}
+pub type D3Payload = ContainmentPayload;
 
-impl Wire for D3Payload {
-    fn size_bytes(&self) -> usize {
-        // d numbers at 2 bytes each plus a 1-byte message tag.
-        match self {
-            D3Payload::SampleValue(v) | D3Payload::Outlier(v) => v.len() * 2 + 1,
-        }
-    }
-}
+/// Per-node D3 state.
+pub type D3Node = ContainmentNode<DistanceRule>;
 
-/// One reported outlier, as recorded by the node that flagged it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Detection {
-    /// Simulated time of the detection.
-    pub time_ns: u64,
-    /// The flagged value.
-    pub value: Vec<f64>,
-    /// Tier of the node that flagged it (1 = leaf).
-    pub level: u8,
-}
-
-/// Per-node D3 state (both `LeafProcess` and `ParentProcess` of the
-/// paper's Figure 4 — the role decides which callbacks fire).
-pub struct D3Node {
+/// The `(D, r)`-outlier rule over a [`SensorEstimator`]: `p` is an
+/// outlier when the model counts fewer than `t` neighbours within `r`.
+pub struct DistanceRule {
     est: SensorEstimator,
     cfg: D3Config,
-    rng: SeededRng,
-    /// Outliers this node has flagged.
-    pub detections: Vec<Detection>,
-    level: u8,
 }
 
-impl D3Node {
-    /// Builds the node for `node` within `topo`.
-    ///
-    /// Leaders run the *identical* `IsOutlier` procedure over their own
-    /// arrival stream (the sample values forwarded by their children),
-    /// with the same `|W|`, `|R|` and threshold `t` — exactly as in the
-    /// paper's Figure 4, where `LeafProcess` and `ParentProcess` share
-    /// one `IsOutlier(R, σ, P)`. Because the arrival stream is a uniform
-    /// random sample of the subtree's readings, `N(p, r) < t` at a leader
-    /// is a *density* test over the region: it scales the conceptual
-    /// union-window threshold `t·Σ|Wᵢ|/|W|` down to the arrival window.
-    pub fn new(node: NodeId, topo: &Hierarchy, cfg: &D3Config) -> Self {
-        let level = topo.level_of(node);
+impl LeafRule for DistanceRule {
+    type Config = D3Config;
+
+    const SCORE_BEFORE_ADMIT: bool = false;
+    const FORWARD_SALT: u64 = 0xD3;
+
+    fn base_seed(cfg: &D3Config) -> u64 {
+        cfg.estimator.seed
+    }
+
+    fn new(cfg: &D3Config, node_seed: u64) -> Self {
         let mut est_cfg = cfg.estimator;
-        // Decorrelate RNGs across nodes.
-        est_cfg.seed = est_cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (node.0 as u64);
-        let est = SensorEstimator::new(est_cfg);
+        est_cfg.seed = node_seed;
         Self {
-            est,
+            est: SensorEstimator::new(est_cfg),
             cfg: *cfg,
-            rng: SeededRng::seed_from_u64(est_cfg.seed ^ 0xD3),
-            detections: Vec::new(),
-            level,
         }
     }
 
-    /// The node's estimator (for post-run inspection).
-    pub fn estimator(&self) -> &SensorEstimator {
-        &self.est
+    fn sample_fraction(&self) -> f64 {
+        self.cfg.sample_fraction
     }
 
-    /// Checks `p` against this node's model; records and escalates on a
-    /// hit. Warm-up guard: no verdicts until the estimator has seen at
-    /// least a sample's worth of data.
-    fn check_and_escalate(&mut self, ctx: &mut Ctx<'_, D3Payload>, p: &[f64]) {
+    /// Forwardable when the chain sample accepted the value. A reading
+    /// whose dimensionality does not match the configuration (a miswired
+    /// stream source) is dropped and counted instead of panicking
+    /// mid-simulation.
+    fn admit(&mut self, value: &[f64]) -> Option<bool> {
+        let accepted = self.est.observe(value);
+        if accepted.is_err() {
+            snod_obs::counter!("core.bad_readings").incr();
+        }
+        accepted.ok()
+    }
+
+    /// Warm-up guard: no verdicts until the estimator has seen at least
+    /// a sample's worth of data.
+    fn verdict(&mut self, p: &[f64]) -> Option<bool> {
         if self.est.observed() < self.est.config().sample_size as u64 {
-            return;
+            return None;
         }
         snod_obs::counter!("core.d3.scored").incr();
         match self.est.is_distance_outlier_scaled(p, &self.cfg.rule) {
             Ok(true) => {
                 snod_obs::counter!("core.d3.detections").incr();
-                self.detections.push(Detection {
-                    time_ns: ctx.time_ns,
-                    value: p.to_vec(),
-                    level: self.level,
-                });
-                // Flagged values are precious (Theorem 3's soundness
-                // only helps if the report arrives): escalate them on
-                // the reliable channel, retried under a retry policy.
                 snod_obs::counter!("core.d3.escalations").incr();
-                ctx.send_parent_reliable(D3Payload::Outlier(p.to_vec()));
+                Some(true)
             }
-            Ok(false) => {}
-            Err(CoreError::NoData) => {}
+            Ok(false) => Some(false),
+            Err(CoreError::NoData) => None,
             // A mis-dimensioned escalation (a peer running a different
             // configuration) is dropped rather than crashing the node.
-            Err(_) => snod_obs::counter!("core.bad_readings").incr(),
-        }
-    }
-}
-
-impl DetectorEngine<D3Payload> for D3Node {
-    fn ingest(&mut self, ctx: &mut Ctx<'_, D3Payload>, value: &[f64]) {
-        // A reading whose dimensionality does not match the configuration
-        // (a miswired stream source) is dropped and counted instead of
-        // panicking mid-simulation.
-        let Ok(accepted) = self.est.observe(value) else {
-            snod_obs::counter!("core.bad_readings").incr();
-            return;
-        };
-        if accepted && self.rng.gen::<f64>() < self.cfg.sample_fraction {
-            ctx.send_parent(D3Payload::SampleValue(value.to_vec()));
-        }
-        self.check_and_escalate(ctx, value);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, D3Payload>, _from: NodeId, payload: D3Payload) {
-        match payload {
-            D3Payload::SampleValue(v) => {
-                let Ok(accepted) = self.est.observe(&v) else {
-                    snod_obs::counter!("core.bad_readings").incr();
-                    return;
-                };
-                if accepted && self.rng.gen::<f64>() < self.cfg.sample_fraction {
-                    ctx.send_parent(D3Payload::SampleValue(v));
-                }
-            }
-            D3Payload::Outlier(p) => {
-                self.check_and_escalate(ctx, &p);
+            Err(_) => {
+                snod_obs::counter!("core.bad_readings").incr();
+                None
             }
         }
     }
 }
 
-impl Persist for D3Payload {
-    fn save(&self, w: &mut ByteWriter) {
-        match self {
-            D3Payload::SampleValue(v) => {
-                w.put_u8(0);
-                v.save(w);
-            }
-            D3Payload::Outlier(v) => {
-                w.put_u8(1);
-                v.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(D3Payload::SampleValue(Vec::<f64>::load(r)?)),
-            1 => Ok(D3Payload::Outlier(Vec::<f64>::load(r)?)),
-            _ => Err(PersistError::Corrupt("unknown d3 payload tag")),
-        }
+impl D3Node {
+    /// The node's estimator (for post-run inspection).
+    pub fn estimator(&self) -> &SensorEstimator {
+        &self.rule.est
     }
 }
 
-impl Persist for Detection {
-    fn save(&self, w: &mut ByteWriter) {
-        self.time_ns.save(w);
-        self.value.save(w);
-        self.level.save(w);
-    }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            time_ns: u64::load(r)?,
-            value: Vec::<f64>::load(r)?,
-            level: u8::load(r)?,
-        })
-    }
-}
-
-impl Persist for D3Node {
+impl Persist for DistanceRule {
     fn save(&self, w: &mut ByteWriter) {
         self.est.save(w);
         self.cfg.save(w);
-        self.rng.save(w);
-        self.detections.save(w);
-        self.level.save(w);
     }
 
     fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
         Ok(Self {
             est: SensorEstimator::load(r)?,
             cfg: D3Config::load(r)?,
-            rng: SeededRng::load(r)?,
-            detections: Vec::<Detection>::load(r)?,
-            level: u8::load(r)?,
         })
-    }
-}
-
-/// Runs D3 over `topo`: each leaf consumes `readings_per_leaf` readings
-/// from `source`. Returns the network (stats + per-node detections).
-pub fn run_d3<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &D3Config,
-    sim: SimConfig,
-    source: &mut S,
-    readings_per_leaf: u64,
-) -> Result<Network<D3Payload, D3Node>, CoreError> {
-    run_d3_with_faults(topo, cfg, sim, FaultPlan::none(), source, readings_per_leaf)
-}
-
-/// Runs D3 under a fault schedule: `plan` drives crashes, link faults
-/// and loss bursts, while `sim` (optionally carrying a
-/// [`snod_simnet::RetryPolicy`]) decides how hard flagged values fight
-/// to reach their parent. With [`FaultPlan::none()`] this is
-/// bit-identical to [`run_d3`].
-pub fn run_d3_with_faults<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &D3Config,
-    sim: SimConfig,
-    plan: FaultPlan,
-    source: &mut S,
-    readings_per_leaf: u64,
-) -> Result<Network<D3Payload, D3Node>, CoreError> {
-    let mut net = build_d3_network(topo, cfg, sim, plan)?;
-    net.run(source, readings_per_leaf);
-    Ok(net)
-}
-
-/// Builds the D3 network without running it, for callers that drive the
-/// simulation themselves — checkpoint/resume needs to restore state (or
-/// stop at an intermediate instant via [`Network::run_until`]) before
-/// events are processed.
-pub fn build_d3_network(
-    topo: Hierarchy,
-    cfg: &D3Config,
-    sim: SimConfig,
-    plan: FaultPlan,
-) -> Result<Network<D3Payload, D3Node>, CoreError> {
-    cfg.validate()?;
-    Ok(Network::new(topo, sim, |node, topo| D3Node::new(node, topo, cfg)).with_fault_plan(plan))
-}
-
-/// Builds the *live* (wall-clock) runtime over the identical D3 engines:
-/// one worker per node, ingestion paced by a monotonic clock (or run
-/// flat-out with [`snod_simnet::LiveRuntime::run`]). Fed the same
-/// readings, it produces the same detections, statistics and checkpoint
-/// bytes as the simulator built by [`build_d3_network`] — the property
-/// the bench crate's driver-conformance suite pins.
-pub fn build_d3_live(
-    topo: Hierarchy,
-    cfg: &D3Config,
-    sim: SimConfig,
-    plan: FaultPlan,
-) -> Result<snod_simnet::LiveRuntime<D3Payload, D3Node>, CoreError> {
-    cfg.validate()?;
-    Ok(
-        snod_simnet::LiveRuntime::new(topo, sim, |node, topo| D3Node::new(node, topo, cfg))
-            .with_fault_plan(plan),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use snod_outlier::DistanceOutlierConfig;
-
-    fn test_config() -> D3Config {
-        D3Config {
-            estimator: crate::config::EstimatorConfig::builder()
-                .window(500)
-                .sample_size(64)
-                .seed(7)
-                .build()
-                .unwrap(),
-            rule: DistanceOutlierConfig::new(10.0, 0.02),
-            sample_fraction: 0.5,
-        }
-    }
-
-    /// 4 leaves emit a tight cluster; leaf 0 occasionally emits a value
-    /// far from everything.
-    fn run_small(readings: u64) -> Network<D3Payload, D3Node> {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut source = move |node: NodeId, seq: u64| {
-            if node.0 == 0 && seq % 100 == 99 {
-                Some(vec![0.9])
-            } else {
-                Some(vec![
-                    0.45 + 0.002 * ((seq % 25) as f64) + 0.001 * node.0 as f64,
-                ])
-            }
-        };
-        run_d3(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            &mut source,
-            readings,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn leaf_detects_the_injected_outliers() {
-        let net = run_small(600);
-        let leaf0 = net.app(NodeId(0));
-        assert!(
-            !leaf0.detections.is_empty(),
-            "leaf 0 saw injected outliers but flagged none"
-        );
-        // All detections are the far value.
-        assert!(leaf0.detections.iter().all(|d| d.value[0] > 0.8));
-    }
-
-    #[test]
-    fn clean_leaves_stay_silent() {
-        let net = run_small(600);
-        for id in 1..4u32 {
-            let leaf = net.app(NodeId(id));
-            assert!(
-                leaf.detections.len() <= 2,
-                "leaf {id} flagged {} values",
-                leaf.detections.len()
-            );
-        }
-    }
-
-    #[test]
-    fn outliers_escalate_to_upper_levels() {
-        let net = run_small(1_000);
-        let root = net.topology().root();
-        let root_hits = &net.app(root).detections;
-        // 0.9 is rare across the whole network too → the root should
-        // confirm at least some escalations.
-        assert!(!root_hits.is_empty(), "no outlier survived to the root");
-        assert!(root_hits.iter().all(|d| d.level == 3));
-    }
-
-    #[test]
-    fn parent_detections_are_subset_of_child_reports() {
-        // Theorem 3: everything a parent flags arrived as a child report.
-        let net = run_small(800);
-        let topo = net.topology();
-        for level in 2..=topo.level_count() {
-            for &leader in topo.level(level) {
-                for d in &net.app(leader).detections {
-                    let reported_below = topo.descendant_leaves(leader).iter().any(|&leaf| {
-                        net.app(leaf)
-                            .detections
-                            .iter()
-                            .any(|ld| ld.value == d.value)
-                    });
-                    assert!(reported_below, "parent flagged un-reported value {d:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fault_free_plan_is_identical_to_plain_run() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let source_at = || {
-            |node: NodeId, seq: u64| {
-                if node.0 == 0 && seq % 100 == 99 {
-                    Some(vec![0.9])
-                } else {
-                    Some(vec![
-                        0.45 + 0.002 * ((seq % 25) as f64) + 0.001 * node.0 as f64,
-                    ])
-                }
-            }
-        };
-        let mut a = source_at();
-        let plain =
-            run_d3(topo.clone(), &test_config(), SimConfig::default(), &mut a, 600).unwrap();
-        let mut b = source_at();
-        let faulty = run_d3_with_faults(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-            &mut b,
-            600,
-        )
-        .unwrap();
-        assert_eq!(plain.stats(), faulty.stats());
-        for (node, app) in plain.apps() {
-            assert_eq!(app.detections, faulty.app(node).detections);
-        }
-    }
-
-    #[test]
-    fn theorem3_containment_survives_faults() {
-        // Loss bursts, a leaf outage and duplicated links cannot break
-        // Theorem 3's containment: parents only flag values that some
-        // descendant leaf reported (deliveries may be lost, but never
-        // invented).
-        use snod_simnet::{LinkFault, RetryPolicy};
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let plan = FaultPlan::none()
-            .with_seed(11)
-            .burst(100_000_000_000, 300_000_000_000, 0.3)
-            .crash(
-                NodeId(1),
-                400_000_000_000,
-                Some(600_000_000_000),
-            )
-            .link(LinkFault::delay_all(2_000_000, 0).duplicate(0.05));
-        let sim = SimConfig::default().with_reliability(RetryPolicy::default());
-        let mut source = |node: NodeId, seq: u64| {
-            if node.0 == 0 && seq % 100 == 99 {
-                Some(vec![0.9])
-            } else {
-                Some(vec![
-                    0.45 + 0.002 * ((seq % 25) as f64) + 0.001 * node.0 as f64,
-                ])
-            }
-        };
-        let net = run_d3_with_faults(topo, &test_config(), sim, plan, &mut source, 1_000).unwrap();
-        let topo = net.topology();
-        for level in 2..=topo.level_count() {
-            for &leader in topo.level(level) {
-                for d in &net.app(leader).detections {
-                    let reported_below = topo.descendant_leaves(leader).iter().any(|&leaf| {
-                        net.app(leaf)
-                            .detections
-                            .iter()
-                            .any(|ld| ld.value == d.value)
-                    });
-                    assert!(reported_below, "parent flagged un-reported value {d:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sample_traffic_flows_upward() {
-        let net = run_small(500);
-        let s = net.stats();
-        assert!(s.messages > 0);
-        // Leaders received enough sample values to have built a model.
-        let root = net.topology().root();
-        assert!(
-            net.app(root).estimator().observed() > 0,
-            "root estimator starved"
-        );
-    }
-
-    #[test]
-    fn zero_sample_fraction_still_detects_locally() {
-        let topo = Hierarchy::balanced(2, &[2]).unwrap();
-        let mut cfg = test_config();
-        cfg.sample_fraction = 0.0;
-        let mut source =
-            |_n: NodeId, seq: u64| Some(vec![if seq % 200 == 199 { 0.95 } else { 0.5 }]);
-        let net = run_d3(topo, &cfg, SimConfig::default(), &mut source, 400).unwrap();
-        let hits: usize = net
-            .topology()
-            .leaves()
-            .iter()
-            .map(|&l| net.app(l).detections.len())
-            .sum();
-        assert!(hits > 0);
-        // With f = 0, parents get no sample traffic at all.
-        let root = net.topology().root();
-        assert_eq!(net.app(root).estimator().observed(), 0);
-    }
-
-    #[test]
-    fn invalid_config_is_rejected() {
-        let topo = Hierarchy::balanced(2, &[2]).unwrap();
-        let mut cfg = test_config();
-        cfg.sample_fraction = -0.5;
-        let mut source = |_: NodeId, _: u64| Some(vec![0.5]);
-        assert!(run_d3(topo, &cfg, SimConfig::default(), &mut source, 10).is_err());
     }
 }

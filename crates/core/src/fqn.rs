@@ -9,25 +9,16 @@
 //! contamination burst cannot inflate the threshold the way it inflates
 //! a σ-scaled rule — the detector keeps flagging through the burst.
 //!
-//! Message protocol, escalation and sample forwarding mirror D3
-//! (`crates/core/src/d3.rs`): leaves test every reading against their
-//! local window *before* admitting it, forward admitted values upward
-//! with probability `f` so leaders build region-level windows, and
-//! escalate flagged values on the reliable channel. Leaders re-check
-//! received escalations against their own window and escalate survivors,
-//! so parent detections stay a subset of child reports (the Theorem-3
-//! containment shape).
+//! Message protocol, escalation and sample forwarding are the
+//! containment engine's (`containment.rs`), with one difference from D3
+//! in the leaf step: leaves test every reading against their local
+//! window *before* admitting it.
 
-use rand::Rng;
-
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError, SeededRng};
+use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
 use snod_robust::QnWindow;
-use snod_simnet::{
-    Ctx, DetectorEngine, FaultPlan, Hierarchy, Network, NodeId, SimConfig, StreamSource, Wire,
-};
 
 use crate::config::CoreError;
-use crate::d3::Detection;
+use crate::containment::{ContainmentNode, ContainmentPayload, LeafRule};
 
 /// Configuration for the FQN detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,83 +98,19 @@ impl Persist for FqnConfig {
 }
 
 /// FQN wire messages — the same two-message shape as D3.
-#[derive(Debug, Clone)]
-pub enum FqnPayload {
-    /// An admitted value forwarded so the parent's window stays
-    /// representative of the region.
-    SampleValue(Vec<f64>),
-    /// A value flagged by `median ± k·Q_n` at the sender's level.
-    Outlier(Vec<f64>),
-}
+pub type FqnPayload = ContainmentPayload;
 
-impl Wire for FqnPayload {
-    fn size_bytes(&self) -> usize {
-        match self {
-            FqnPayload::SampleValue(v) | FqnPayload::Outlier(v) => v.len() * 2 + 1,
-        }
-    }
-}
+/// Per-node FQN state.
+pub type FqnNode = ContainmentNode<QnRule>;
 
-impl Persist for FqnPayload {
-    fn save(&self, w: &mut ByteWriter) {
-        match self {
-            FqnPayload::SampleValue(v) => {
-                w.put_u8(0);
-                v.save(w);
-            }
-            FqnPayload::Outlier(v) => {
-                w.put_u8(1);
-                v.save(w);
-            }
-        }
-    }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(FqnPayload::SampleValue(Vec::<f64>::load(r)?)),
-            1 => Ok(FqnPayload::Outlier(Vec::<f64>::load(r)?)),
-            _ => Err(PersistError::Corrupt("unknown fqn payload tag")),
-        }
-    }
-}
-
-/// Per-node FQN state: one [`QnWindow`] per dimension.
-pub struct FqnNode {
+/// The `median ± k·Q_n` rule: one [`QnWindow`] per dimension.
+pub struct QnRule {
     windows: Vec<QnWindow>,
     cfg: FqnConfig,
-    rng: SeededRng,
-    /// Outliers this node has flagged.
-    pub detections: Vec<Detection>,
-    level: u8,
 }
 
-impl FqnNode {
-    /// Builds the node for `node` within `topo`.
-    pub fn new(node: NodeId, topo: &Hierarchy, cfg: &FqnConfig) -> Self {
-        let level = topo.level_of(node);
-        // Decorrelate RNGs across nodes (same scheme as D3).
-        let seed = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (node.0 as u64);
-        let windows = (0..cfg.dimensions)
-            .map(|_| QnWindow::new(cfg.window).expect("validated window"))
-            .collect();
-        Self {
-            windows,
-            cfg: *cfg,
-            rng: SeededRng::seed_from_u64(seed ^ 0xF9),
-            detections: Vec::new(),
-            level,
-        }
-    }
-
-    /// The per-dimension windows (for post-run inspection).
-    pub fn windows(&self) -> &[QnWindow] {
-        &self.windows
-    }
-
-    /// Verdict for `p` against the current windows: `Some(true)` when any
-    /// coordinate is further than `k·Q_n` from its window median. `None`
-    /// until warm-up completes.
-    pub fn verdict(&self, p: &[f64]) -> Option<bool> {
+impl QnRule {
+    fn check(&self, p: &[f64]) -> Option<bool> {
         if p.len() != self.cfg.dimensions {
             return None;
         }
@@ -198,212 +125,90 @@ impl FqnNode {
         }
         Some(hit)
     }
+}
 
-    /// Admits `p` into the windows. Returns false (and counts) on a
-    /// mis-dimensioned or non-finite reading instead of panicking.
-    fn admit(&mut self, p: &[f64]) -> bool {
+impl LeafRule for QnRule {
+    type Config = FqnConfig;
+
+    const SCORE_BEFORE_ADMIT: bool = true;
+    const FORWARD_SALT: u64 = 0xF9;
+
+    fn base_seed(cfg: &FqnConfig) -> u64 {
+        cfg.seed
+    }
+
+    fn new(cfg: &FqnConfig, _node_seed: u64) -> Self {
+        let windows = (0..cfg.dimensions)
+            .map(|_| QnWindow::new(cfg.window).expect("validated window"))
+            .collect();
+        Self { windows, cfg: *cfg }
+    }
+
+    fn sample_fraction(&self) -> f64 {
+        self.cfg.sample_fraction
+    }
+
+    /// Every admitted value is forwardable. A mis-dimensioned or
+    /// non-finite reading is counted instead of panicking.
+    fn admit(&mut self, p: &[f64]) -> Option<bool> {
         if p.len() != self.cfg.dimensions || p.iter().any(|x| !x.is_finite()) {
             snod_obs::counter!("core.bad_readings").incr();
-            return false;
+            return None;
         }
         for (w, &x) in self.windows.iter_mut().zip(p.iter()) {
             w.push(x).expect("finite scalar push");
         }
-        true
+        Some(true)
     }
 
-    /// Checks `p` against this node's windows; records and escalates on
-    /// a hit. Mirrors D3's `check_and_escalate`, including the reliable
-    /// escalation channel.
-    fn check_and_escalate(&mut self, ctx: &mut Ctx<'_, FqnPayload>, p: &[f64]) {
-        match self.verdict(p) {
-            Some(true) => {
-                snod_obs::counter!("core.fqn.scored").incr();
-                snod_obs::counter!("core.fqn.detections").incr();
-                self.detections.push(Detection {
-                    time_ns: ctx.time_ns,
-                    value: p.to_vec(),
-                    level: self.level,
-                });
-                snod_obs::counter!("core.fqn.escalations").incr();
-                ctx.send_parent_reliable(FqnPayload::Outlier(p.to_vec()));
-            }
-            Some(false) => {
-                snod_obs::counter!("core.fqn.scored").incr();
-            }
-            None => {}
+    fn verdict(&mut self, p: &[f64]) -> Option<bool> {
+        let verdict = self.check(p)?;
+        snod_obs::counter!("core.fqn.scored").incr();
+        if verdict {
+            snod_obs::counter!("core.fqn.detections").incr();
+            snod_obs::counter!("core.fqn.escalations").incr();
         }
+        Some(verdict)
     }
 }
 
-impl DetectorEngine<FqnPayload> for FqnNode {
-    fn ingest(&mut self, ctx: &mut Ctx<'_, FqnPayload>, value: &[f64]) {
-        // Test against history *excluding* the reading itself, then admit
-        // it — a burst of outliers must not poison its own threshold.
-        self.check_and_escalate(ctx, value);
-        if self.admit(value) && self.rng.gen::<f64>() < self.cfg.sample_fraction {
-            ctx.send_parent(FqnPayload::SampleValue(value.to_vec()));
-        }
+impl FqnNode {
+    /// The per-dimension windows (for post-run inspection).
+    pub fn windows(&self) -> &[QnWindow] {
+        &self.rule.windows
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, FqnPayload>, _from: NodeId, payload: FqnPayload) {
-        match payload {
-            FqnPayload::SampleValue(v) => {
-                if self.admit(&v) && self.rng.gen::<f64>() < self.cfg.sample_fraction {
-                    ctx.send_parent(FqnPayload::SampleValue(v));
-                }
-            }
-            FqnPayload::Outlier(p) => {
-                // Escalations are re-checked but never admitted: flagged
-                // values must not drag the region window toward the tail.
-                self.check_and_escalate(ctx, &p);
-            }
-        }
+    /// Verdict for `p` against the current windows: `Some(true)` when any
+    /// coordinate is further than `k·Q_n` from its window median. `None`
+    /// until warm-up completes.
+    pub fn verdict(&self, p: &[f64]) -> Option<bool> {
+        self.rule.check(p)
     }
 }
 
-impl Persist for FqnNode {
+impl Persist for QnRule {
     fn save(&self, w: &mut ByteWriter) {
         self.windows.save(w);
         self.cfg.save(w);
-        self.rng.save(w);
-        self.detections.save(w);
-        self.level.save(w);
     }
 
     fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let node = Self {
+        let rule = Self {
             windows: Vec::<QnWindow>::load(r)?,
             cfg: FqnConfig::load(r)?,
-            rng: SeededRng::load(r)?,
-            detections: Vec::<Detection>::load(r)?,
-            level: u8::load(r)?,
         };
-        if node.windows.len() != node.cfg.dimensions {
+        if rule.windows.len() != rule.cfg.dimensions {
             return Err(PersistError::Corrupt("fqn window/dimension mismatch"));
         }
-        Ok(node)
+        Ok(rule)
     }
-}
-
-/// Runs FQN over `topo`: each leaf consumes `readings_per_leaf` readings
-/// from `source`.
-pub fn run_fqn<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &FqnConfig,
-    sim: SimConfig,
-    source: &mut S,
-    readings_per_leaf: u64,
-) -> Result<Network<FqnPayload, FqnNode>, CoreError> {
-    run_fqn_with_faults(topo, cfg, sim, FaultPlan::none(), source, readings_per_leaf)
-}
-
-/// Runs FQN under a fault schedule. With [`FaultPlan::none()`] this is
-/// bit-identical to [`run_fqn`].
-pub fn run_fqn_with_faults<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &FqnConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-    source: &mut S,
-    readings_per_leaf: u64,
-) -> Result<Network<FqnPayload, FqnNode>, CoreError> {
-    let mut net = build_fqn_network(topo, cfg, sim, plan)?;
-    net.run(source, readings_per_leaf);
-    Ok(net)
-}
-
-/// Builds the FQN network without running it (checkpoint/resume drives
-/// the simulation itself).
-pub fn build_fqn_network(
-    topo: Hierarchy,
-    cfg: &FqnConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-) -> Result<Network<FqnPayload, FqnNode>, CoreError> {
-    cfg.validate()?;
-    Ok(Network::new(topo, sim, |node, topo| FqnNode::new(node, topo, cfg)).with_fault_plan(plan))
-}
-
-/// Builds the live (wall-clock) runtime over the identical FQN engines.
-pub fn build_fqn_live(
-    topo: Hierarchy,
-    cfg: &FqnConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-) -> Result<snod_simnet::LiveRuntime<FqnPayload, FqnNode>, CoreError> {
-    cfg.validate()?;
-    Ok(
-        snod_simnet::LiveRuntime::new(topo, sim, |node, topo| FqnNode::new(node, topo, cfg))
-            .with_fault_plan(plan),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn test_config() -> FqnConfig {
-        FqnConfig {
-            dimensions: 1,
-            window: 128,
-            k_scale: 4.0,
-            warmup: 32,
-            sample_fraction: 0.5,
-            seed: 7,
-        }
-    }
-
-    /// 4 leaves emit a tight cluster; leaf 0 occasionally emits a value
-    /// far from everything.
-    fn spiky_source() -> impl FnMut(NodeId, u64) -> Option<Vec<f64>> {
-        |node: NodeId, seq: u64| {
-            if node.0 == 0 && seq % 100 == 99 {
-                Some(vec![0.9])
-            } else {
-                Some(vec![
-                    0.45 + 0.002 * ((seq % 25) as f64) + 0.001 * node.0 as f64,
-                ])
-            }
-        }
-    }
-
-    fn run_small(readings: u64) -> Network<FqnPayload, FqnNode> {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut source = spiky_source();
-        run_fqn(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            &mut source,
-            readings,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn leaf_detects_the_injected_outliers() {
-        let net = run_small(600);
-        let leaf0 = net.app(NodeId(0));
-        assert!(
-            !leaf0.detections.is_empty(),
-            "leaf 0 saw injected outliers but flagged none"
-        );
-        assert!(leaf0.detections.iter().all(|d| d.value[0] > 0.8));
-    }
-
-    #[test]
-    fn clean_leaves_stay_silent() {
-        let net = run_small(600);
-        for id in 1..4u32 {
-            let leaf = net.app(NodeId(id));
-            assert!(
-                leaf.detections.is_empty(),
-                "leaf {id} flagged {} values",
-                leaf.detections.len()
-            );
-        }
-    }
+    use crate::backend::{run_backend, FqnBackend};
+    use snod_simnet::{Hierarchy, NodeId, SimConfig};
 
     #[test]
     fn contamination_burst_does_not_silence_the_detector() {
@@ -420,14 +225,15 @@ mod tests {
                 Some(vec![0.5 + 0.002 * ((seq % 31) as f64)])
             }
         };
-        let net = run_fqn(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            &mut source,
-            800,
-        )
-        .unwrap();
+        let backend = FqnBackend(FqnConfig {
+            dimensions: 1,
+            window: 128,
+            k_scale: 4.0,
+            warmup: 32,
+            sample_fraction: 0.5,
+            seed: 7,
+        });
+        let net = run_backend(&backend, topo, SimConfig::default(), &mut source, 800).unwrap();
         let leaf = net.app(NodeId(0));
         let post_burst_hits = leaf
             .detections
@@ -438,125 +244,5 @@ mod tests {
             post_burst_hits >= 3,
             "burst inflated the threshold: only {post_burst_hits} post-burst detections"
         );
-    }
-
-    #[test]
-    fn parent_detections_are_subset_of_child_reports() {
-        let net = run_small(800);
-        let topo = net.topology();
-        for level in 2..=topo.level_count() {
-            for &leader in topo.level(level) {
-                for d in &net.app(leader).detections {
-                    let reported_below = topo.descendant_leaves(leader).iter().any(|&leaf| {
-                        net.app(leaf)
-                            .detections
-                            .iter()
-                            .any(|ld| ld.value == d.value)
-                    });
-                    assert!(reported_below, "parent flagged un-reported value {d:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fault_free_plan_is_identical_to_plain_run() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut a = spiky_source();
-        let plain =
-            run_fqn(topo.clone(), &test_config(), SimConfig::default(), &mut a, 600).unwrap();
-        let mut b = spiky_source();
-        let faulty = run_fqn_with_faults(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-            &mut b,
-            600,
-        )
-        .unwrap();
-        assert_eq!(plain.stats(), faulty.stats());
-        for (node, app) in plain.apps() {
-            assert_eq!(app.detections, faulty.app(node).detections);
-        }
-    }
-
-    #[test]
-    fn checkpoint_resume_matches_uninterrupted_run() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut a = spiky_source();
-        let mut straight = build_fqn_network(
-            topo.clone(),
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-        )
-        .unwrap();
-        straight.run(&mut a, 700);
-
-        let mut b = spiky_source();
-        let mut first = build_fqn_network(
-            topo.clone(),
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-        )
-        .unwrap();
-        first.run_until(&mut b, 700, 250_000_000_000);
-        let bytes = first.checkpoint();
-        let mut resumed = build_fqn_network(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-        )
-        .unwrap();
-        resumed.restore(&bytes).unwrap();
-        resumed.run(&mut b, 700);
-
-        assert_eq!(straight.stats(), resumed.stats());
-        for (node, app) in straight.apps() {
-            assert_eq!(app.detections, resumed.app(node).detections);
-        }
-        assert_eq!(straight.checkpoint(), resumed.checkpoint());
-    }
-
-    #[test]
-    fn sample_traffic_feeds_leader_windows() {
-        let net = run_small(500);
-        assert!(net.stats().messages > 0);
-        let root = net.topology().root();
-        assert!(
-            !net.app(root).windows()[0].is_empty(),
-            "root window starved"
-        );
-    }
-
-    #[test]
-    fn zero_sample_fraction_still_detects_locally() {
-        let topo = Hierarchy::balanced(2, &[2]).unwrap();
-        let mut cfg = test_config();
-        cfg.sample_fraction = 0.0;
-        let mut source =
-            |_n: NodeId, seq: u64| Some(vec![if seq % 200 == 199 { 0.95 } else { 0.5 }]);
-        let net = run_fqn(topo, &cfg, SimConfig::default(), &mut source, 400).unwrap();
-        let hits: usize = net
-            .topology()
-            .leaves()
-            .iter()
-            .map(|&l| net.app(l).detections.len())
-            .sum();
-        assert!(hits > 0);
-        let root = net.topology().root();
-        assert!(net.app(root).windows()[0].is_empty());
-    }
-
-    #[test]
-    fn invalid_config_is_rejected() {
-        let topo = Hierarchy::balanced(2, &[2]).unwrap();
-        let mut cfg = test_config();
-        cfg.k_scale = 0.0;
-        let mut source = |_: NodeId, _: u64| Some(vec![0.5]);
-        assert!(run_fqn(topo, &cfg, SimConfig::default(), &mut source, 10).is_err());
     }
 }

@@ -7,14 +7,22 @@
 //!   chain sample `R` of the sliding window plus streaming per-dimension
 //!   standard deviations, materialised on demand into a kernel density
 //!   model (with the 1-d fast path of Section 5.3).
-//! * [`D3Node`] / [`run_d3`] — algorithm **D3** (Distributed Deviation
-//!   Detection, Section 7): every leaf checks each reading against its
-//!   local model; flagged values climb the hierarchy and are re-checked
-//!   against each ancestor's model (sound by Theorem 3).
-//! * [`MgddNode`] / [`run_mgdd`] — algorithm **MGDD** (Multi-Granular
-//!   Deviation Detection, Section 8): leaders maintain region models and
-//!   stream incremental updates down to the leaves, which evaluate the
-//!   MDEF test against each granularity's *global* model.
+//! * [`ContainmentNode`] — the protocol of Figure 4 with the
+//!   `IsOutlier` rule behind the [`LeafRule`] seam: every leaf checks
+//!   each reading against its local state; flagged values climb the
+//!   hierarchy and are re-checked against each ancestor's state (sound
+//!   by Theorem 3). [`D3Node`] is the engine under the paper's
+//!   kernel-density distance rule (algorithm **D3**, Section 7),
+//!   [`FqnNode`] the same engine under a robust `median ± k·Q_n` rule.
+//! * [`MgddNode`] — algorithm **MGDD** (Multi-Granular Deviation
+//!   Detection, Section 8): leaders maintain region models and stream
+//!   incremental updates down to the leaves, which evaluate the MDEF
+//!   test against each granularity's *global* model.
+//! * [`DetectorBackend`] — a validated recipe for one detector family
+//!   ([`D3Backend`], [`MgddBackend`], [`FqnBackend`], [`MmdewBackend`]).
+//!   [`build_backend_network`], [`build_backend_live`] and
+//!   [`run_backend_with_faults`] turn any recipe into the simulated or
+//!   the wall-clock runtime — the one way to build and run a detector.
 //! * [`CentralizedNode`] / [`run_centralized`] — the baseline that ships
 //!   every reading to the top-level leader (Section 8.1's comparison
 //!   point and the upper curve of Figure 11).
@@ -36,6 +44,7 @@ pub mod apps;
 mod backend;
 mod centralized;
 mod config;
+mod containment;
 mod d3;
 mod estimator;
 mod fqn;
@@ -47,8 +56,8 @@ mod shift;
 mod timeslice;
 
 pub use backend::{
-    build_backend_live, build_backend_network, run_backend_with_faults, BackendKind, D3Backend,
-    DetectorBackend, FqnBackend, MgddBackend, MmdewBackend,
+    build_backend_live, build_backend_network, run_backend, run_backend_with_faults, BackendKind,
+    D3Backend, DetectorBackend, FqnBackend, MgddBackend, MmdewBackend,
 };
 pub use centralized::{
     run_centralized, run_centralized_with_faults, CentralizedNode, CentralizedPayload,
@@ -57,22 +66,14 @@ pub use config::{
     CoreError, D3Config, EstimatorConfig, EstimatorConfigBuilder, MgddConfig, RebuildPolicy,
     UpdateStrategy,
 };
-pub use d3::{build_d3_live, build_d3_network, run_d3, run_d3_with_faults, D3Node, D3Payload, Detection};
+pub use containment::{ContainmentNode, ContainmentPayload, Detection, LeafRule};
+pub use d3::{D3Node, D3Payload, DistanceRule};
 pub use estimator::{SensorEstimator, SensorModel};
-pub use fqn::{
-    build_fqn_live, build_fqn_network, run_fqn, run_fqn_with_faults, FqnConfig, FqnNode,
-    FqnPayload,
-};
-pub use mgdd::{
-    build_mgdd_live, build_mgdd_network, run_mgdd, run_mgdd_with_faults, run_mgdd_with_levels,
-    MgddNode, MgddPayload,
-};
+pub use fqn::{FqnConfig, FqnNode, FqnPayload, QnRule};
+pub use mgdd::{MgddNode, MgddPayload};
 pub use monitor::{
     run_monitor, run_monitor_with_faults, FaultAlarm, ModelReport, MonitorConfig, MonitorNode,
 };
 pub use replica::IncrementalReplica;
-pub use shift::{
-    build_mmdew_live, build_mmdew_network, run_mmdew, run_mmdew_with_faults, MmdewNode,
-    MmdewNodeConfig, MmdewPayload,
-};
+pub use shift::{MmdewNode, MmdewNodeConfig, MmdewPayload};
 pub use timeslice::TimeSlicedEstimator;

@@ -33,20 +33,17 @@
 //! (surfaced as `NetStats::degraded_scores`) and, once fully orphaned,
 //! falls back to MDEF over its *own* estimator, tagging those
 //! detections with its leaf level (surfaced as
-//! `NetStats::local_fallbacks`). [`run_mgdd_with_faults`] wires a
-//! [`FaultPlan`] into the run.
+//! `NetStats::local_fallbacks`).
 
 use rand::Rng;
 
 use snod_density::js_divergence_models;
 use snod_outlier::MdefDetector;
 use snod_persist::{ByteReader, ByteWriter, Persist, PersistError, SeededRng};
-use snod_simnet::{
-    Ctx, DetectorEngine, FaultPlan, Hierarchy, Network, NodeId, SimConfig, StreamSource, Wire,
-};
+use snod_simnet::{Ctx, DetectorEngine, Hierarchy, NodeId, Wire};
 
-use crate::config::{CoreError, MgddConfig, UpdateStrategy};
-use crate::d3::Detection;
+use crate::config::{MgddConfig, UpdateStrategy};
+use crate::containment::Detection;
 use crate::estimator::{SensorEstimator, SensorModel};
 use crate::replica::IncrementalReplica;
 
@@ -432,98 +429,12 @@ impl Persist for MgddNode {
     }
 }
 
-/// Runs MGDD with the paper's default top-level-only global model.
-pub fn run_mgdd<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &MgddConfig,
-    sim: SimConfig,
-    source: &mut S,
-    readings_per_leaf: u64,
-) -> Result<Network<MgddPayload, MgddNode>, CoreError> {
-    let top = topo.level_count() as u8;
-    run_mgdd_with_levels(topo, cfg, sim, source, readings_per_leaf, &[top])
-}
-
-/// Runs MGDD with global models maintained at every tier in
-/// `broadcast_levels` — the multi-granularity mode of Section 3.
-pub fn run_mgdd_with_levels<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &MgddConfig,
-    sim: SimConfig,
-    source: &mut S,
-    readings_per_leaf: u64,
-    broadcast_levels: &[u8],
-) -> Result<Network<MgddPayload, MgddNode>, CoreError> {
-    run_mgdd_with_faults(
-        topo,
-        cfg,
-        sim,
-        FaultPlan::none(),
-        source,
-        readings_per_leaf,
-        broadcast_levels,
-    )
-}
-
-/// Runs MGDD under a fault schedule: `plan` drives crashes, link faults
-/// and loss bursts, while `sim` (optionally carrying a
-/// [`snod_simnet::RetryPolicy`]) decides how hard global-model updates
-/// fight back. With [`FaultPlan::none()`] this is bit-identical to
-/// [`run_mgdd_with_levels`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_mgdd_with_faults<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &MgddConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-    source: &mut S,
-    readings_per_leaf: u64,
-    broadcast_levels: &[u8],
-) -> Result<Network<MgddPayload, MgddNode>, CoreError> {
-    let mut net = build_mgdd_network(topo, cfg, sim, plan, broadcast_levels)?;
-    net.run(source, readings_per_leaf);
-    Ok(net)
-}
-
-/// Builds the MGDD network without running it, for callers that drive
-/// the simulation themselves — checkpoint/resume needs to restore state
-/// (or stop at an intermediate instant via [`Network::run_until`])
-/// before events are processed.
-pub fn build_mgdd_network(
-    topo: Hierarchy,
-    cfg: &MgddConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-    broadcast_levels: &[u8],
-) -> Result<Network<MgddPayload, MgddNode>, CoreError> {
-    cfg.validate()?;
-    Ok(Network::new(topo, sim, |node, topo| {
-        MgddNode::new(node, topo, cfg, broadcast_levels)
-    })
-    .with_fault_plan(plan))
-}
-
-/// Builds the *live* (wall-clock) runtime over the identical MGDD
-/// engines; see `build_d3_live` for the sim-vs-live equivalence
-/// contract.
-pub fn build_mgdd_live(
-    topo: Hierarchy,
-    cfg: &MgddConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-    broadcast_levels: &[u8],
-) -> Result<snod_simnet::LiveRuntime<MgddPayload, MgddNode>, CoreError> {
-    cfg.validate()?;
-    Ok(snod_simnet::LiveRuntime::new(topo, sim, |node, topo| {
-        MgddNode::new(node, topo, cfg, broadcast_levels)
-    })
-    .with_fault_plan(plan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{run_backend_with_faults, MgddBackend};
     use snod_outlier::MdefConfig;
+    use snod_simnet::{FaultPlan, Network, SimConfig};
 
     fn test_config() -> MgddConfig {
         MgddConfig {
@@ -554,11 +465,32 @@ mod tests {
         }
     }
 
+    /// Four leaves under a 2×2 hierarchy consume `readings` block-source
+    /// readings each.
+    fn run(
+        cfg: &MgddConfig,
+        broadcast_levels: &[u8],
+        plan: FaultPlan,
+        readings: u64,
+    ) -> Network<MgddPayload, MgddNode> {
+        let backend = MgddBackend {
+            cfg: *cfg,
+            broadcast_levels: broadcast_levels.to_vec(),
+        };
+        run_backend_with_faults(
+            &backend,
+            Hierarchy::balanced(4, &[2, 2]).unwrap(),
+            SimConfig::default(),
+            plan,
+            &mut block_source(),
+            readings,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn global_replicas_fill_at_the_leaves() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut src = block_source();
-        let net = run_mgdd(topo, &test_config(), SimConfig::default(), &mut src, 800).unwrap();
+        let net = run(&test_config(), &[], FaultPlan::none(), 800);
         for &leaf in net.topology().leaves() {
             let node = net.app(leaf);
             assert_eq!(node.replicas.len(), 1);
@@ -572,9 +504,7 @@ mod tests {
 
     #[test]
     fn skirt_values_are_detected_at_the_leaf() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut src = block_source();
-        let net = run_mgdd(topo, &test_config(), SimConfig::default(), &mut src, 1_200).unwrap();
+        let net = run(&test_config(), &[], FaultPlan::none(), 1_200);
         let leaf0 = net.app(NodeId(0));
         assert!(
             leaf0
@@ -591,9 +521,7 @@ mod tests {
         // The global replica needs time to mature (the root only sees a
         // thin sub-sampled arrival stream in this miniature setup), so
         // only steady-state detections — second half of the run — count.
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut src = block_source();
-        let net = run_mgdd(topo, &test_config(), SimConfig::default(), &mut src, 1_200).unwrap();
+        let net = run(&test_config(), &[], FaultPlan::none(), 1_200);
         let half = net.now_ns() / 2;
         for &leaf in net.topology().leaves() {
             let false_hits = net
@@ -615,9 +543,7 @@ mod tests {
 
     #[test]
     fn only_leaves_detect() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut src = block_source();
-        let net = run_mgdd(topo, &test_config(), SimConfig::default(), &mut src, 600).unwrap();
+        let net = run(&test_config(), &[], FaultPlan::none(), 600);
         for level in 2..=net.topology().level_count() {
             for &leader in net.topology().level(level) {
                 assert!(net.app(leader).detections.is_empty());
@@ -627,16 +553,13 @@ mod tests {
 
     #[test]
     fn model_change_strategy_sends_fewer_updates() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
         let mut cfg = test_config();
-        let mut src = block_source();
-        let every = run_mgdd(topo.clone(), &cfg, SimConfig::default(), &mut src, 800).unwrap();
+        let every = run(&cfg, &[], FaultPlan::none(), 800);
         cfg.updates = UpdateStrategy::OnModelChange {
             js_threshold: 0.05,
             check_every: 8,
         };
-        let mut src2 = block_source();
-        let lazy = run_mgdd(topo, &cfg, SimConfig::default(), &mut src2, 800).unwrap();
+        let lazy = run(&cfg, &[], FaultPlan::none(), 800);
         assert!(
             lazy.stats().messages < every.stats().messages,
             "model-change updates ({}) not cheaper than per-acceptance ({})",
@@ -646,27 +569,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_plan_is_identical_to_plain_run() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let top = topo.level_count() as u8;
-        let mut a = block_source();
-        let plain =
-            run_mgdd(topo.clone(), &test_config(), SimConfig::default(), &mut a, 600).unwrap();
-        let mut b = block_source();
-        let faulty = run_mgdd_with_faults(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-            &mut b,
-            600,
-            &[top],
-        )
-        .unwrap();
-        assert_eq!(plain.stats(), faulty.stats());
-        for &leaf in plain.topology().leaves() {
-            assert_eq!(plain.app(leaf).detections, faulty.app(leaf).detections);
-        }
+    fn empty_broadcast_levels_mean_the_top_tier() {
+        let default = run(&test_config(), &[], FaultPlan::none(), 600);
+        let explicit = run(&test_config(), &[3], FaultPlan::none(), 600);
+        assert_eq!(default.stats(), explicit.stats());
+        assert_eq!(default.checkpoint(), explicit.checkpoint());
     }
 
     #[test]
@@ -675,11 +582,9 @@ mod tests {
         // stale (updates always arrive at least a latency earlier than
         // the next reading tick): scoring proceeds against the
         // last-known models and every verdict is counted as degraded.
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
         let mut cfg = test_config();
         cfg.staleness_bound_ns = Some(1);
-        let mut src = block_source();
-        let net = run_mgdd(topo, &cfg, SimConfig::default(), &mut src, 1_200).unwrap();
+        let net = run(&cfg, &[], FaultPlan::none(), 1_200);
         assert!(net.stats().degraded_scores > 0, "no degraded scores");
         let leaf0 = net.app(NodeId(0));
         assert!(
@@ -695,23 +600,10 @@ mod tests {
     fn orphaned_leaves_fall_back_to_local_detection() {
         // The sole broadcaster is dead from t = 0: replicas never warm,
         // so leaves must detect with their own models, tagged level 1.
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let root = topo.root();
+        let root = Hierarchy::balanced(4, &[2, 2]).unwrap().root();
         let mut cfg = test_config();
         cfg.staleness_bound_ns = Some(5_000_000_000);
-        let plan = FaultPlan::none().crash(root, 0, None);
-        let top = topo.level_count() as u8;
-        let mut src = block_source();
-        let net = run_mgdd_with_faults(
-            topo,
-            &cfg,
-            SimConfig::default(),
-            plan,
-            &mut src,
-            800,
-            &[top],
-        )
-        .unwrap();
+        let net = run(&cfg, &[], FaultPlan::none().crash(root, 0, None), 800);
         assert!(net.stats().local_fallbacks > 0, "no local fallbacks");
         for &leaf in net.topology().leaves() {
             assert!(
@@ -723,11 +615,7 @@ mod tests {
 
     #[test]
     fn multi_level_broadcast_tags_detections_by_origin() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let cfg = test_config();
-        let mut src = block_source();
-        let net = run_mgdd_with_levels(topo, &cfg, SimConfig::default(), &mut src, 1_200, &[2, 3])
-            .unwrap();
+        let net = run(&test_config(), &[2, 3], FaultPlan::none(), 1_200);
         let leaf0 = net.app(NodeId(0));
         assert_eq!(leaf0.replicas.len(), 2);
         let levels: std::collections::HashSet<u8> =

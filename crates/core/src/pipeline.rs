@@ -9,14 +9,17 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use snod_simnet::{DetectorEngine, FaultPlan, Hierarchy, Network, NodeId, SimConfig, StreamSource};
+use snod_simnet::{FaultPlan, Hierarchy, NetStats, NodeId, SimConfig, StreamSource};
 
+use crate::backend::{
+    build_backend_live, build_backend_network, D3Backend, DetectorBackend, FqnBackend, MgddBackend,
+    MmdewBackend,
+};
 use crate::centralized::run_centralized_with_faults;
 use crate::config::{CoreError, D3Config, MgddConfig};
-use crate::d3::{build_d3_network, run_d3_with_faults, Detection};
-use crate::fqn::{build_fqn_network, run_fqn_with_faults, FqnConfig};
-use crate::mgdd::{build_mgdd_network, run_mgdd_with_faults};
-use crate::shift::{build_mmdew_network, run_mmdew_with_faults, MmdewNodeConfig};
+use crate::containment::Detection;
+use crate::fqn::FqnConfig;
+use crate::shift::MmdewNodeConfig;
 
 /// Which detector the pipeline runs.
 #[derive(Debug, Clone)]
@@ -24,7 +27,7 @@ pub enum Algorithm {
     /// Distributed distance-based detection (Section 7).
     D3(D3Config),
     /// Multi-granular MDEF detection (Section 8), with the given
-    /// broadcast levels (empty = top level only).
+    /// broadcast levels (see [`MgddBackend::broadcast_levels`]).
     Mgdd(MgddConfig, Vec<u8>),
     /// Streaming Q_n robust-scale detection (median ± k·Q_n).
     Fqn(FqnConfig),
@@ -50,7 +53,7 @@ pub struct PipelineReport {
     /// (for MGDD: the granularity of the global model used).
     pub detections_by_level: BTreeMap<u8, Vec<Detection>>,
     /// Message/byte/energy accounting of the run.
-    pub stats: snod_simnet::NetStats,
+    pub stats: NetStats,
 }
 
 impl PipelineReport {
@@ -62,8 +65,8 @@ impl PipelineReport {
 
 /// Snapshot/resume instructions for [`OutlierPipeline::run_checkpointed`].
 ///
-/// The default plan does nothing; `run_checkpointed` with it is exactly
-/// [`OutlierPipeline::run`]. Checkpoint files are written atomically
+/// The default plan does nothing; [`OutlierPipeline::run`] is
+/// `run_checkpointed` with it. Checkpoint files are written atomically
 /// (temp file + rename) with a versioned, checksummed header; resuming
 /// one in a pipeline built with the same topology, configs and fault
 /// plan is bit-identical to never having stopped.
@@ -86,53 +89,26 @@ impl CheckpointPlan {
     }
 }
 
-/// Restores (if asked), runs to completion, and snapshots (if asked) —
-/// shared by the D3 and MGDD arms of `run_checkpointed`.
-fn drive_checkpointed<P, A, S>(
-    net: &mut Network<P, A>,
-    source: &mut S,
-    readings_per_leaf: u64,
-    ckpt: &CheckpointPlan,
-) -> Result<(), CoreError>
-where
-    P: snod_simnet::Wire + snod_persist::Persist + Send,
-    A: DetectorEngine<P> + snod_persist::Persist + Send,
-    S: StreamSource,
-{
-    if let Some(path) = &ckpt.resume_from {
-        net.restore_from_file(path)?;
-    }
-    match (&ckpt.checkpoint_out, ckpt.checkpoint_at_ns) {
-        (Some(out), Some(at)) => {
-            net.run_until(source, readings_per_leaf, at);
-            net.checkpoint_to_file(out)?;
-            net.run_until(source, readings_per_leaf, u64::MAX);
-        }
-        (Some(out), None) => {
-            net.run(source, readings_per_leaf);
-            net.checkpoint_to_file(out)?;
-        }
-        (None, _) => net.run(source, readings_per_leaf),
-    }
-    Ok(())
+/// Which runtime hosts the engines of one pipeline run.
+enum Driver<'a> {
+    /// The discrete-event simulator, under a checkpoint plan.
+    Sim(&'a CheckpointPlan),
+    /// The live runtime: one worker thread per node, virtual clock.
+    Live,
 }
 
-/// Groups a finished network's detections by level.
-fn report_by_level<'a, P, A, I>(net: &'a Network<P, A>, detections: I) -> PipelineReport
-where
-    P: snod_simnet::Wire,
-    A: DetectorEngine<P>,
-    I: Fn(&'a A) -> &'a [Detection],
-{
+/// Groups a finished run's detections by level.
+fn report_by_level<'a>(
+    detections: impl Iterator<Item = &'a [Detection]>,
+    stats: &NetStats,
+) -> PipelineReport {
     let mut by_level: BTreeMap<u8, Vec<Detection>> = BTreeMap::new();
-    for (_, app) in net.apps() {
-        for d in detections(app) {
-            by_level.entry(d.level).or_default().push(d.clone());
-        }
+    for d in detections.flatten() {
+        by_level.entry(d.level).or_default().push(d.clone());
     }
     PipelineReport {
         detections_by_level: by_level,
-        stats: net.stats().clone(),
+        stats: stats.clone(),
     }
 }
 
@@ -191,100 +167,7 @@ impl OutlierPipeline {
         source: &mut S,
         readings_per_leaf: u64,
     ) -> Result<PipelineReport, CoreError> {
-        let mut by_level: BTreeMap<u8, Vec<Detection>> = BTreeMap::new();
-        let stats = match &self.algorithm {
-            Algorithm::D3(cfg) => {
-                let net = run_d3_with_faults(
-                    self.topo.clone(),
-                    cfg,
-                    self.sim,
-                    self.plan.clone(),
-                    source,
-                    readings_per_leaf,
-                )?;
-                for (_, app) in net.apps() {
-                    for d in &app.detections {
-                        by_level.entry(d.level).or_default().push(d.clone());
-                    }
-                }
-                net.stats().clone()
-            }
-            Algorithm::Mgdd(cfg, levels) => {
-                let levels = if levels.is_empty() {
-                    vec![self.topo.level_count() as u8]
-                } else {
-                    levels.clone()
-                };
-                let net = run_mgdd_with_faults(
-                    self.topo.clone(),
-                    cfg,
-                    self.sim,
-                    self.plan.clone(),
-                    source,
-                    readings_per_leaf,
-                    &levels,
-                )?;
-                for (_, app) in net.apps() {
-                    for d in &app.detections {
-                        by_level.entry(d.level).or_default().push(d.clone());
-                    }
-                }
-                net.stats().clone()
-            }
-            Algorithm::Fqn(cfg) => {
-                let net = run_fqn_with_faults(
-                    self.topo.clone(),
-                    cfg,
-                    self.sim,
-                    self.plan.clone(),
-                    source,
-                    readings_per_leaf,
-                )?;
-                for (_, app) in net.apps() {
-                    for d in &app.detections {
-                        by_level.entry(d.level).or_default().push(d.clone());
-                    }
-                }
-                net.stats().clone()
-            }
-            Algorithm::Mmdew(cfg) => {
-                let net = run_mmdew_with_faults(
-                    self.topo.clone(),
-                    cfg,
-                    self.sim,
-                    self.plan.clone(),
-                    source,
-                    readings_per_leaf,
-                )?;
-                for (_, app) in net.apps() {
-                    for d in &app.detections {
-                        by_level.entry(d.level).or_default().push(d.clone());
-                    }
-                }
-                net.stats().clone()
-            }
-            Algorithm::Centralized(rule, window_per_leaf) => {
-                let net = run_centralized_with_faults(
-                    self.topo.clone(),
-                    *rule,
-                    *window_per_leaf,
-                    self.sim,
-                    self.plan.clone(),
-                    source,
-                    readings_per_leaf,
-                )?;
-                for (_, app) in net.apps() {
-                    for d in &app.detections {
-                        by_level.entry(d.level).or_default().push(d.clone());
-                    }
-                }
-                net.stats().clone()
-            }
-        };
-        Ok(PipelineReport {
-            detections_by_level: by_level,
-            stats,
-        })
+        self.run_checkpointed(source, readings_per_leaf, &CheckpointPlan::default())
     }
 
     /// [`Self::run`] with checkpoint/resume: optionally restores a
@@ -303,47 +186,105 @@ impl OutlierPipeline {
         readings_per_leaf: u64,
         ckpt: &CheckpointPlan,
     ) -> Result<PipelineReport, CoreError> {
-        if ckpt.is_noop() {
-            return self.run(source, readings_per_leaf);
-        }
+        self.dispatch(source, readings_per_leaf, Driver::Sim(ckpt))
+    }
+
+    /// [`Self::run`] on the live runtime — real worker threads per node
+    /// over the identical engines, bit-identical to the simulator on the
+    /// same readings. It has no checkpoint schedule, and the centralized
+    /// baseline has no live form.
+    pub fn run_live<S: StreamSource>(
+        &self,
+        source: &mut S,
+        readings_per_leaf: u64,
+    ) -> Result<PipelineReport, CoreError> {
+        self.dispatch(source, readings_per_leaf, Driver::Live)
+    }
+
+    fn dispatch<S: StreamSource>(
+        &self,
+        source: &mut S,
+        readings_per_leaf: u64,
+        driver: Driver<'_>,
+    ) -> Result<PipelineReport, CoreError> {
         match &self.algorithm {
-            Algorithm::D3(cfg) => {
-                let mut net =
-                    build_d3_network(self.topo.clone(), cfg, self.sim, self.plan.clone())?;
-                drive_checkpointed(&mut net, source, readings_per_leaf, ckpt)?;
-                Ok(report_by_level(&net, |app| app.detections.as_slice()))
-            }
+            Algorithm::D3(cfg) => self.drive(&D3Backend(*cfg), source, readings_per_leaf, driver),
             Algorithm::Mgdd(cfg, levels) => {
-                let levels = if levels.is_empty() {
-                    vec![self.topo.level_count() as u8]
-                } else {
-                    levels.clone()
+                let backend = MgddBackend {
+                    cfg: *cfg,
+                    broadcast_levels: levels.clone(),
                 };
-                let mut net = build_mgdd_network(
+                self.drive(&backend, source, readings_per_leaf, driver)
+            }
+            Algorithm::Fqn(cfg) => self.drive(&FqnBackend(*cfg), source, readings_per_leaf, driver),
+            Algorithm::Mmdew(cfg) => {
+                self.drive(&MmdewBackend(*cfg), source, readings_per_leaf, driver)
+            }
+            Algorithm::Centralized(rule, window_per_leaf) => {
+                if !matches!(driver, Driver::Sim(ckpt) if ckpt.is_noop()) {
+                    return Err(CoreError::Config(
+                        "checkpoint/resume and the live driver support the d3, mgdd, fqn and \
+                         mmdew algorithms only",
+                    ));
+                }
+                let net = run_centralized_with_faults(
                     self.topo.clone(),
-                    cfg,
+                    *rule,
+                    *window_per_leaf,
                     self.sim,
                     self.plan.clone(),
-                    &levels,
+                    source,
+                    readings_per_leaf,
                 )?;
-                drive_checkpointed(&mut net, source, readings_per_leaf, ckpt)?;
-                Ok(report_by_level(&net, |app| app.detections.as_slice()))
+                Ok(report_by_level(
+                    net.apps().map(|(_, app)| app.detections.as_slice()),
+                    net.stats(),
+                ))
             }
-            Algorithm::Fqn(cfg) => {
-                let mut net =
-                    build_fqn_network(self.topo.clone(), cfg, self.sim, self.plan.clone())?;
-                drive_checkpointed(&mut net, source, readings_per_leaf, ckpt)?;
-                Ok(report_by_level(&net, |app| app.detections.as_slice()))
+        }
+    }
+
+    /// Builds `backend`'s engines under `driver`, restores (if asked),
+    /// runs to completion, and snapshots (if asked).
+    fn drive<B: DetectorBackend, S: StreamSource>(
+        &self,
+        backend: &B,
+        source: &mut S,
+        readings_per_leaf: u64,
+        driver: Driver<'_>,
+    ) -> Result<PipelineReport, CoreError> {
+        let (topo, plan) = (self.topo.clone(), self.plan.clone());
+        match driver {
+            Driver::Live => {
+                let mut rt = build_backend_live(backend, topo, self.sim, plan)?;
+                rt.run(source, readings_per_leaf);
+                Ok(report_by_level(
+                    rt.engines().map(|(_, engine)| B::detections(engine)),
+                    rt.stats(),
+                ))
             }
-            Algorithm::Mmdew(cfg) => {
-                let mut net =
-                    build_mmdew_network(self.topo.clone(), cfg, self.sim, self.plan.clone())?;
-                drive_checkpointed(&mut net, source, readings_per_leaf, ckpt)?;
-                Ok(report_by_level(&net, |app| app.detections.as_slice()))
+            Driver::Sim(ckpt) => {
+                let mut net = build_backend_network(backend, topo, self.sim, plan)?;
+                if let Some(path) = &ckpt.resume_from {
+                    net.restore_from_file(path)?;
+                }
+                match (&ckpt.checkpoint_out, ckpt.checkpoint_at_ns) {
+                    (Some(out), Some(at)) => {
+                        net.run_until(source, readings_per_leaf, at);
+                        net.checkpoint_to_file(out)?;
+                        net.run_until(source, readings_per_leaf, u64::MAX);
+                    }
+                    (Some(out), None) => {
+                        net.run(source, readings_per_leaf);
+                        net.checkpoint_to_file(out)?;
+                    }
+                    (None, _) => net.run(source, readings_per_leaf),
+                }
+                Ok(report_by_level(
+                    net.apps().map(|(_, app)| B::detections(app)),
+                    net.stats(),
+                ))
             }
-            Algorithm::Centralized(..) => Err(CoreError::Config(
-                "checkpoint/resume supports the d3, mgdd, fqn and mmdew algorithms only",
-            )),
         }
     }
 }

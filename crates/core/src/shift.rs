@@ -20,12 +20,10 @@ use rand::Rng;
 
 use snod_persist::{ByteReader, ByteWriter, Persist, PersistError, SeededRng};
 use snod_robust::{Mmdew, MmdewConfig, RobustError};
-use snod_simnet::{
-    Ctx, DetectorEngine, FaultPlan, Hierarchy, Network, NodeId, SimConfig, StreamSource, Wire,
-};
+use snod_simnet::{Ctx, DetectorEngine, Hierarchy, NodeId, Wire};
 
 use crate::config::CoreError;
-use crate::d3::Detection;
+use crate::containment::Detection;
 
 /// Configuration for the distributed MMDEW detector: the per-node change
 /// detector plus the sample-forwarding fraction.
@@ -244,63 +242,20 @@ impl Persist for MmdewNode {
     }
 }
 
-/// Runs MMDEW over `topo`: each leaf consumes `readings_per_leaf`
-/// readings from `source`.
-pub fn run_mmdew<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &MmdewNodeConfig,
-    sim: SimConfig,
-    source: &mut S,
-    readings_per_leaf: u64,
-) -> Result<Network<MmdewPayload, MmdewNode>, CoreError> {
-    run_mmdew_with_faults(topo, cfg, sim, FaultPlan::none(), source, readings_per_leaf)
-}
-
-/// Runs MMDEW under a fault schedule. With [`FaultPlan::none()`] this is
-/// bit-identical to [`run_mmdew`].
-pub fn run_mmdew_with_faults<S: StreamSource>(
-    topo: Hierarchy,
-    cfg: &MmdewNodeConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-    source: &mut S,
-    readings_per_leaf: u64,
-) -> Result<Network<MmdewPayload, MmdewNode>, CoreError> {
-    let mut net = build_mmdew_network(topo, cfg, sim, plan)?;
-    net.run(source, readings_per_leaf);
-    Ok(net)
-}
-
-/// Builds the MMDEW network without running it (checkpoint/resume drives
-/// the simulation itself).
-pub fn build_mmdew_network(
-    topo: Hierarchy,
-    cfg: &MmdewNodeConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-) -> Result<Network<MmdewPayload, MmdewNode>, CoreError> {
-    cfg.validate()?;
-    Ok(Network::new(topo, sim, |node, topo| MmdewNode::new(node, topo, cfg)).with_fault_plan(plan))
-}
-
-/// Builds the live (wall-clock) runtime over the identical MMDEW
-/// engines.
-pub fn build_mmdew_live(
-    topo: Hierarchy,
-    cfg: &MmdewNodeConfig,
-    sim: SimConfig,
-    plan: FaultPlan,
-) -> Result<snod_simnet::LiveRuntime<MmdewPayload, MmdewNode>, CoreError> {
-    cfg.validate()?;
-    Ok(
-        snod_simnet::LiveRuntime::new(topo, sim, |node, topo| MmdewNode::new(node, topo, cfg))
-            .with_fault_plan(plan),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{build_backend_network, run_backend, MmdewBackend};
+    use snod_simnet::{FaultPlan, Network, SimConfig, StreamSource};
+
+    fn topo() -> Hierarchy {
+        Hierarchy::balanced(4, &[2, 2]).unwrap()
+    }
+
+    fn run<S: StreamSource>(source: &mut S, readings: u64) -> Network<MmdewPayload, MmdewNode> {
+        let backend = MmdewBackend(test_config());
+        run_backend(&backend, topo(), SimConfig::default(), source, readings).unwrap()
+    }
 
     fn test_config() -> MmdewNodeConfig {
         MmdewNodeConfig {
@@ -327,16 +282,7 @@ mod tests {
 
     #[test]
     fn leaves_alarm_after_the_shift() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut source = shifting_source();
-        let net = run_mmdew(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            &mut source,
-            600,
-        )
-        .unwrap();
+        let net = run(&mut shifting_source(), 600);
         for &leaf in net.topology().leaves() {
             let hits = &net.app(leaf).detections;
             assert!(!hits.is_empty(), "leaf {leaf:?} missed the mean shift");
@@ -347,36 +293,19 @@ mod tests {
 
     #[test]
     fn stationary_stream_stays_quiet() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
         let mut source = |node: NodeId, seq: u64| {
             Some(vec![
                 0.5 + 0.01 * ((seq.wrapping_mul(11) + node.0 as u64) % 7) as f64,
             ])
         };
-        let net = run_mmdew(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            &mut source,
-            800,
-        )
-        .unwrap();
+        let net = run(&mut source, 800);
         let total: usize = net.apps().map(|(_, a)| a.detections.len()).sum();
         assert_eq!(total, 0, "false alarms on a stationary stream");
     }
 
     #[test]
     fn alarms_reach_the_parent_tally() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut source = shifting_source();
-        let net = run_mmdew(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            &mut source,
-            600,
-        )
-        .unwrap();
+        let net = run(&mut shifting_source(), 600);
         let tally: u64 = net
             .topology()
             .level(2)
@@ -387,63 +316,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_plan_is_identical_to_plain_run() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut a = shifting_source();
-        let plain = run_mmdew(
-            topo.clone(),
-            &test_config(),
-            SimConfig::default(),
-            &mut a,
-            600,
-        )
-        .unwrap();
-        let mut b = shifting_source();
-        let faulty = run_mmdew_with_faults(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-            &mut b,
-            600,
-        )
-        .unwrap();
-        assert_eq!(plain.stats(), faulty.stats());
-        for (node, app) in plain.apps() {
-            assert_eq!(app.detections, faulty.app(node).detections);
-        }
-    }
-
-    #[test]
     fn checkpoint_resume_matches_uninterrupted_run() {
-        let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
-        let mut a = shifting_source();
-        let mut straight = build_mmdew_network(
-            topo.clone(),
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-        )
-        .unwrap();
-        straight.run(&mut a, 600);
+        let build = || {
+            let backend = MmdewBackend(test_config());
+            build_backend_network(&backend, topo(), SimConfig::default(), FaultPlan::none())
+                .unwrap()
+        };
+        let straight = run(&mut shifting_source(), 600);
 
         let mut b = shifting_source();
-        let mut first = build_mmdew_network(
-            topo.clone(),
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-        )
-        .unwrap();
+        let mut first = build();
         first.run_until(&mut b, 600, 200_000_000_000);
         let bytes = first.checkpoint();
-        let mut resumed = build_mmdew_network(
-            topo,
-            &test_config(),
-            SimConfig::default(),
-            FaultPlan::none(),
-        )
-        .unwrap();
+        let mut resumed = build();
         resumed.restore(&bytes).unwrap();
         resumed.run(&mut b, 600);
 
@@ -457,20 +342,17 @@ mod tests {
 
     #[test]
     fn invalid_config_is_rejected() {
-        let topo = Hierarchy::balanced(2, &[2]).unwrap();
-        let mut cfg = test_config();
-        cfg.detector.gamma = 0.0;
         let mut source = |_: NodeId, _: u64| Some(vec![0.5]);
-        assert!(run_mmdew(topo, &cfg, SimConfig::default(), &mut source, 10).is_err());
-        let mut cfg2 = test_config();
-        cfg2.sample_fraction = 1.5;
-        assert!(run_mmdew(
-            Hierarchy::balanced(2, &[2]).unwrap(),
-            &cfg2,
-            SimConfig::default(),
-            &mut source,
-            10
-        )
-        .is_err());
+        let mut bad_gamma = test_config();
+        bad_gamma.detector.gamma = 0.0;
+        let mut bad_fraction = test_config();
+        bad_fraction.sample_fraction = 1.5;
+        for cfg in [bad_gamma, bad_fraction] {
+            let topo = Hierarchy::balanced(2, &[2]).unwrap();
+            assert!(
+                run_backend(&MmdewBackend(cfg), topo, SimConfig::default(), &mut source, 10)
+                    .is_err()
+            );
+        }
     }
 }

@@ -4,8 +4,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use snod_core::{
-    build_backend_live, build_d3_live, BackendKind, D3Backend, D3Config, D3Node, D3Payload,
-    DetectorBackend, EstimatorConfig, FqnBackend, FqnConfig, MmdewBackend, MmdewNodeConfig,
+    build_backend_live, BackendKind, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
+    EstimatorConfig, FqnBackend, FqnConfig, MmdewBackend, MmdewNodeConfig,
 };
 use snod_engine::{FaultPlan, Hierarchy, LiveRuntime, SimConfig};
 use snod_outlier::DistanceOutlierConfig;
@@ -43,8 +43,7 @@ pub struct TenantSpec {
     /// `phase + seq·period`.
     pub reading_period_ns: u64,
     /// Which detector backend every tenant runs. The daemon supports
-    /// `D3`, `Fqn` and `Mmdew` (MGDD needs MDEF parameters the spec
-    /// does not carry).
+    /// `D3`, `Fqn` and `Mmdew` (see [`TenantSpec::with_backend`]).
     pub detector: BackendKind,
     /// FQN threshold scale: flag when `|x − median| > k·Q_n`.
     pub k_scale: f64,
@@ -101,56 +100,68 @@ impl TenantSpec {
         }
     }
 
-    /// The derived FQN configuration.
-    pub fn fqn_config(&self) -> Result<FqnConfig, ServeError> {
-        let cfg = FqnConfig {
+    fn fqn_config(&self) -> FqnConfig {
+        FqnConfig {
             dimensions: 1,
             window: self.window,
             k_scale: self.k_scale,
-            warmup: self.sample_size.clamp(2, self.window),
+            warmup: self.sample_size.min(self.window).max(2),
             sample_fraction: self.sample_fraction,
             seed: self.seed,
-        };
-        cfg.validate()
-            .map_err(|e| ServeError::Config(format!("tenant fqn config: {e}")))?;
-        Ok(cfg)
+        }
     }
 
-    /// The derived MMDEW configuration.
-    pub fn mmdew_config(&self) -> Result<MmdewNodeConfig, ServeError> {
+    fn mmdew_config(&self) -> MmdewNodeConfig {
         let mut cfg = MmdewNodeConfig::default();
         cfg.detector.threshold_scale = self.threshold_scale;
         cfg.detector.seed = self.seed;
         cfg.sample_fraction = self.sample_fraction;
-        cfg.validate()
-            .map_err(|e| ServeError::Config(format!("tenant mmdew config: {e}")))?;
-        Ok(cfg)
+        cfg
     }
 
-    /// Validates the spec for the configured detector without building
-    /// a runtime (the daemon calls this once at startup).
-    pub fn validate(&self) -> Result<(), ServeError> {
-        self.topology()?;
+    /// Resolves `detector` to its validated backend recipe and hands it
+    /// to `visitor` — the daemon's one `kind → backend` dispatch;
+    /// everything a visitor does is monomorphized over the backend.
+    ///
+    /// MGDD is not a tenant detector: the spec carries no MDEF
+    /// parameters (`r`, `αr`, `k_σ`), no update strategy and no
+    /// broadcast levels to derive an [`snod_core::MgddConfig`] from.
+    pub fn with_backend<V: BackendVisitor>(&self, visitor: V) -> Result<V::Out, ServeError> {
+        fn checked<B: DetectorBackend, V: BackendVisitor>(
+            backend: B,
+            visitor: V,
+        ) -> Result<V::Out, ServeError> {
+            backend.validate().map_err(|e| {
+                ServeError::Config(format!("tenant {} config: {e}", backend.kind()))
+            })?;
+            Ok(visitor.visit(backend))
+        }
         match self.detector {
-            BackendKind::D3 => self.d3_config().map(|_| ()),
-            BackendKind::Fqn => self.fqn_config().map(|_| ()),
-            BackendKind::Mmdew => self.mmdew_config().map(|_| ()),
+            BackendKind::D3 => checked(D3Backend(self.d3_config()?), visitor),
+            BackendKind::Fqn => checked(FqnBackend(self.fqn_config()), visitor),
+            BackendKind::Mmdew => checked(MmdewBackend(self.mmdew_config()), visitor),
             BackendKind::Mgdd => Err(ServeError::Config(
                 "serve tenants support the d3, fqn and mmdew detectors".into(),
             )),
         }
     }
 
-    /// Builds one D3 tenant runtime (used both by the daemon's workers
-    /// and by the in-process reference side of the differential tests).
+    /// Validates the spec for the configured detector without building
+    /// a runtime (the daemon calls this once at startup).
+    pub fn validate(&self) -> Result<(), ServeError> {
+        struct Check;
+        impl BackendVisitor for Check {
+            type Out = ();
+            fn visit<B: DetectorBackend>(self, _: B) {}
+        }
+        self.topology()?;
+        self.with_backend(Check)
+    }
+
+    /// Builds one D3 tenant runtime (the in-process reference side of
+    /// the differential tests and of the benchmark).
     pub fn build_runtime(&self) -> Result<LiveRuntime<D3Payload, D3Node>, ServeError> {
-        build_d3_live(
-            self.topology()?,
-            &self.d3_config()?,
-            self.sim_config(),
-            FaultPlan::none(),
-        )
-        .map_err(|e| ServeError::Config(format!("tenant runtime: {e}")))
+        self.build_backend_runtime(&D3Backend(self.d3_config()?))
     }
 
     /// Builds one tenant runtime for an arbitrary backend recipe.
@@ -161,21 +172,15 @@ impl TenantSpec {
         build_backend_live(backend, self.topology()?, self.sim_config(), FaultPlan::none())
             .map_err(|e| ServeError::Config(format!("tenant runtime: {e}")))
     }
+}
 
-    /// The D3 backend recipe for this spec.
-    pub fn d3_backend(&self) -> Result<D3Backend, ServeError> {
-        Ok(D3Backend(self.d3_config()?))
-    }
-
-    /// The FQN backend recipe for this spec.
-    pub fn fqn_backend(&self) -> Result<FqnBackend, ServeError> {
-        Ok(FqnBackend(self.fqn_config()?))
-    }
-
-    /// The MMDEW backend recipe for this spec.
-    pub fn mmdew_backend(&self) -> Result<MmdewBackend, ServeError> {
-        Ok(MmdewBackend(self.mmdew_config()?))
-    }
+/// What to do with the backend recipe a [`TenantSpec`] resolves to (a
+/// closure generic over the backend type, which Rust cannot spell).
+pub trait BackendVisitor {
+    /// What the visit produces.
+    type Out;
+    /// Called with the validated recipe.
+    fn visit<B: DetectorBackend>(self, backend: B) -> Self::Out;
 }
 
 /// Daemon configuration.
@@ -261,6 +266,14 @@ mod tests {
 
     #[test]
     fn every_supported_detector_validates_and_builds() {
+        struct Build<'a>(&'a TenantSpec);
+        impl BackendVisitor for Build<'_> {
+            type Out = usize;
+            fn visit<B: DetectorBackend>(self, backend: B) -> usize {
+                let rt = self.0.build_backend_runtime(&backend).expect("runtime");
+                rt.topology().leaves().len()
+            }
+        }
         for kind in [BackendKind::D3, BackendKind::Fqn, BackendKind::Mmdew] {
             let spec = TenantSpec {
                 detector: kind,
@@ -269,40 +282,35 @@ mod tests {
                 ..TenantSpec::default()
             };
             spec.validate().expect("valid spec");
+            assert_eq!(spec.with_backend(Build(&spec)).expect("builds"), 2);
         }
-        let spec = TenantSpec {
+        let rejected = |spec: TenantSpec| match spec.validate() {
+            Err(ServeError::Config(why)) => why,
+            other => panic!("expected a config error, got {other:?}"),
+        };
+        let why = rejected(TenantSpec {
             detector: BackendKind::Mgdd,
             ..TenantSpec::default()
-        };
-        assert!(spec.validate().is_err(), "mgdd tenants are unsupported");
-        let spec = TenantSpec {
+        });
+        assert!(why.contains("d3, fqn and mmdew"), "{why}");
+        let why = rejected(TenantSpec {
             detector: BackendKind::Fqn,
             k_scale: -1.0,
             ..TenantSpec::default()
-        };
-        assert!(spec.validate().is_err(), "bad k_scale accepted");
-    }
-
-    #[test]
-    fn backend_runtimes_build_for_fqn_and_mmdew() {
-        let spec = TenantSpec {
+        });
+        assert!(why.contains("k_scale"), "{why}");
+        // A window below 2 is a typed error (not a `min > max` clamp panic).
+        let why = rejected(TenantSpec {
             detector: BackendKind::Fqn,
+            window: 1,
             ..TenantSpec::default()
-        };
-        let rt = spec
-            .build_backend_runtime(&spec.fqn_backend().unwrap())
-            .expect("fqn runtime");
-        assert_eq!(rt.topology().node_count(), 1);
-        let spec = TenantSpec {
-            detector: BackendKind::Mmdew,
-            leaves: 4,
-            fanouts: vec![2, 2],
+        });
+        assert!(why.contains("fqn window must hold at least 2 values"), "{why}");
+        let why = rejected(TenantSpec {
+            sample_fraction: 1.5,
             ..TenantSpec::default()
-        };
-        let rt = spec
-            .build_backend_runtime(&spec.mmdew_backend().unwrap())
-            .expect("mmdew runtime");
-        assert_eq!(rt.topology().leaves().len(), 4);
+        });
+        assert!(why.contains("sample fraction"), "{why}");
     }
 
     #[test]

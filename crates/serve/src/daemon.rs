@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use crate::config::{valid_tenant_name, ServeConfig};
 use crate::error::ServeError;
 use crate::stats::{DaemonStats, EscalationLog, EscalationRecord, ServeStats};
-use crate::tenant::{spawn_worker, ConnSink, TenantMsg, TenantShared, WorkerConfig};
+use crate::tenant::{ConnSink, TenantMsg, TenantShared, WorkerConfig, WorkerSeed};
 use crate::wire::{encode_frame, error_code, FrameDecoder, Msg};
 
 pub(crate) struct TenantEntry {
@@ -84,15 +84,16 @@ impl Inner {
     fn spawn_entry(self: &Arc<Self>, name: &str, sinks: Vec<ConnSink>) -> TenantEntry {
         let (tx, rx) = mpsc::sync_channel::<TenantMsg>(self.cfg.queue_capacity.max(1));
         let shared = Arc::new(TenantShared::default());
-        let join = spawn_worker(
-            name.to_string(),
-            self.worker_config(name),
+        let join = WorkerSeed {
+            name: name.to_string(),
+            cfg: self.worker_config(name),
             rx,
-            Arc::clone(&shared),
-            Arc::clone(&self.stats),
-            Arc::clone(&self.esc_log),
-            self.epoch,
-        );
+            shared: Arc::clone(&shared),
+            stats: Arc::clone(&self.stats),
+            esc_log: Arc::clone(&self.esc_log),
+            epoch: self.epoch,
+        }
+        .spawn();
         for sink in &sinks {
             let _ = tx.try_send(TenantMsg::Attach(sink.clone()));
         }

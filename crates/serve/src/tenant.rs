@@ -34,38 +34,13 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use snod_core::{BackendKind, D3Backend, DetectorBackend, FqnBackend, MmdewBackend};
+use snod_core::DetectorBackend;
 use snod_engine::{IngestBuffer, LiveRuntime, NodeId, PushOutcome};
 use snod_persist::{ByteReader, ByteWriter, Persist};
 
-use crate::config::TenantSpec;
-use crate::error::ServeError;
+use crate::config::{BackendVisitor, TenantSpec};
 use crate::stats::{DaemonStats, EscalationLog, EscalationRecord};
 use crate::wire::Msg;
-
-/// A [`DetectorBackend`] the daemon knows how to derive from a
-/// [`TenantSpec`].
-pub(crate) trait TenantBackend: DetectorBackend {
-    fn from_spec(spec: &TenantSpec) -> Result<Self, ServeError>;
-}
-
-impl TenantBackend for D3Backend {
-    fn from_spec(spec: &TenantSpec) -> Result<Self, ServeError> {
-        spec.d3_backend()
-    }
-}
-
-impl TenantBackend for FqnBackend {
-    fn from_spec(spec: &TenantSpec) -> Result<Self, ServeError> {
-        spec.fqn_backend()
-    }
-}
-
-impl TenantBackend for MmdewBackend {
-    fn from_spec(spec: &TenantSpec) -> Result<Self, ServeError> {
-        spec.mmdew_backend()
-    }
-}
 
 /// A connection's outbound frame queue, as seen by a worker: `handle`
 /// is what this connection calls the tenant, `tx` feeds the
@@ -123,45 +98,40 @@ pub(crate) struct WorkerConfig {
     pub checkpoint_interval: Duration,
 }
 
-/// Spawns the worker thread for `cfg.spec`'s configured backend. The
-/// dispatch happens here, once, at tenant creation; everything past
-/// this point is monomorphized over the backend.
-pub(crate) fn spawn_worker(
-    name: String,
-    cfg: WorkerConfig,
-    rx: Receiver<TenantMsg>,
-    shared: Arc<TenantShared>,
-    stats: Arc<DaemonStats>,
-    esc_log: Arc<EscalationLog>,
-    epoch: Instant,
-) -> std::thread::JoinHandle<()> {
-    fn spawn_typed<B: TenantBackend>(
-        name: String,
-        cfg: WorkerConfig,
-        rx: Receiver<TenantMsg>,
-        shared: Arc<TenantShared>,
-        stats: Arc<DaemonStats>,
-        esc_log: Arc<EscalationLog>,
-        epoch: Instant,
-    ) -> std::thread::JoinHandle<()> {
-        let worker = Worker::<B>::new(name.clone(), cfg, rx, shared, stats, esc_log, epoch);
-        std::thread::Builder::new()
-            .name(format!("snod-tenant-{name}"))
-            .spawn(move || worker.run())
-            .expect("spawn tenant worker")
-    }
-    match cfg.spec.detector {
-        BackendKind::D3 => spawn_typed::<D3Backend>(name, cfg, rx, shared, stats, esc_log, epoch),
-        BackendKind::Fqn => spawn_typed::<FqnBackend>(name, cfg, rx, shared, stats, esc_log, epoch),
-        BackendKind::Mmdew => {
-            spawn_typed::<MmdewBackend>(name, cfg, rx, shared, stats, esc_log, epoch)
-        }
-        // Rejected by TenantSpec::validate when the daemon started.
-        BackendKind::Mgdd => unreachable!("mgdd tenants rejected at daemon startup"),
+/// Everything a tenant worker is started from.
+pub(crate) struct WorkerSeed {
+    pub name: String,
+    pub cfg: WorkerConfig,
+    pub rx: Receiver<TenantMsg>,
+    pub shared: Arc<TenantShared>,
+    pub stats: Arc<DaemonStats>,
+    pub esc_log: Arc<EscalationLog>,
+    pub epoch: Instant,
+}
+
+impl WorkerSeed {
+    /// Spawns the worker thread for `cfg.spec`'s configured backend.
+    pub fn spawn(self) -> std::thread::JoinHandle<()> {
+        let spec = self.cfg.spec.clone();
+        spec.with_backend(self)
+            .expect("tenant spec validated when the daemon started")
     }
 }
 
-pub(crate) struct Worker<B: TenantBackend> {
+impl BackendVisitor for WorkerSeed {
+    type Out = std::thread::JoinHandle<()>;
+
+    fn visit<B: DetectorBackend>(self, backend: B) -> Self::Out {
+        let thread_name = format!("snod-tenant-{}", self.name);
+        let worker = Worker::new(&backend, self);
+        std::thread::Builder::new()
+            .name(thread_name)
+            .spawn(move || worker.run())
+            .expect("spawn tenant worker")
+    }
+}
+
+pub(crate) struct Worker<B: DetectorBackend> {
     name: String,
     cfg: WorkerConfig,
     rx: Receiver<TenantMsg>,
@@ -186,27 +156,26 @@ pub(crate) struct Worker<B: TenantBackend> {
     finish_sent: bool,
 }
 
-impl<B: TenantBackend> Worker<B> {
+impl<B: DetectorBackend> Worker<B> {
     /// Builds the worker, restoring from its checkpoint file when one
     /// exists. A checkpoint that fails to restore (torn write from a
     /// crash mid-rename cannot happen — writes are atomic — but a
     /// corrupted disk can) is reported and ignored: the tenant starts
     /// fresh rather than staying down, and the client's replay-from-
     /// zero resend path refills it.
-    pub fn new(
-        name: String,
-        cfg: WorkerConfig,
-        rx: Receiver<TenantMsg>,
-        shared: Arc<TenantShared>,
-        stats: Arc<DaemonStats>,
-        esc_log: Arc<EscalationLog>,
-        epoch: Instant,
-    ) -> Self {
-        let backend =
-            B::from_spec(&cfg.spec).expect("tenant spec validated when the daemon started");
+    fn new(backend: &B, seed: WorkerSeed) -> Self {
+        let WorkerSeed {
+            name,
+            cfg,
+            rx,
+            shared,
+            stats,
+            esc_log,
+            epoch,
+        } = seed;
         let rt = cfg
             .spec
-            .build_backend_runtime(&backend)
+            .build_backend_runtime(backend)
             .expect("tenant spec validated when the daemon started");
         let leaves = rt.topology().leaves().to_vec();
         let n_leaves = leaves.len();
@@ -278,7 +247,7 @@ impl<B: TenantBackend> Worker<B> {
     /// The worker loop. Exits on Shutdown, on a closed queue (the
     /// daemon dropped it — the `hard_abort` path), or by panicking on
     /// an injected Crash.
-    pub fn run(mut self) {
+    fn run(mut self) {
         loop {
             let mut shutdown: Option<bool> = None;
             match self.rx.recv_timeout(Duration::from_millis(25)) {

@@ -7,6 +7,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use snod_core::DetectorBackend;
+use snod_serve::config::BackendVisitor;
 use snod_serve::TenantSpec;
 
 /// A row as the daemon's Query frame reports it.
@@ -44,27 +46,49 @@ pub fn synth_rows(spec: &TenantSpec, per_leaf: u64, seed: u64) -> Vec<(u32, u64,
     rows
 }
 
-/// Runs the same spec in-process over the same rows and collects the
-/// detection rows exactly as the daemon's Query reply does.
+/// Runs the same spec — whatever its detector — in-process over the
+/// same rows, through the builder the daemon's workers use, and
+/// collects the detection rows exactly as the daemon's Query reply does.
 pub fn reference_detections(
     spec: &TenantSpec,
     rows: &[(u32, u64, Vec<f64>)],
     per_leaf: u64,
 ) -> Vec<DetRow> {
-    let mut rt = spec.build_runtime().expect("reference runtime");
-    let table: std::collections::HashMap<(u32, u64), Vec<f64>> = rows
-        .iter()
-        .map(|(n, s, v)| ((*n, *s), v.clone()))
-        .collect();
-    let mut source = |node: snod_engine::NodeId, seq: u64| table.get(&(node.0, seq)).cloned();
-    rt.run(&mut source, per_leaf);
-    let mut out = Vec::new();
-    for (node, engine) in rt.engines() {
-        for d in &engine.detections {
-            out.push((node.0, d.time_ns, d.level, d.value.clone()));
+    struct Reference<'a> {
+        spec: &'a TenantSpec,
+        rows: &'a [(u32, u64, Vec<f64>)],
+        per_leaf: u64,
+    }
+    impl BackendVisitor for Reference<'_> {
+        type Out = Vec<DetRow>;
+        fn visit<B: DetectorBackend>(self, backend: B) -> Vec<DetRow> {
+            let mut rt = self
+                .spec
+                .build_backend_runtime(&backend)
+                .expect("reference runtime");
+            let table: std::collections::HashMap<(u32, u64), Vec<f64>> = self
+                .rows
+                .iter()
+                .map(|(n, s, v)| ((*n, *s), v.clone()))
+                .collect();
+            let mut source =
+                |node: snod_engine::NodeId, seq: u64| table.get(&(node.0, seq)).cloned();
+            rt.run(&mut source, self.per_leaf);
+            let mut out = Vec::new();
+            for (node, engine) in rt.engines() {
+                for d in B::detections(engine) {
+                    out.push((node.0, d.time_ns, d.level, d.value.clone()));
+                }
+            }
+            out
         }
     }
-    out
+    let reference = Reference {
+        spec,
+        rows,
+        per_leaf,
+    };
+    spec.with_backend(reference).expect("reference spec")
 }
 
 /// Deterministic piecewise-stationary readings: every leaf's mean jumps
@@ -86,33 +110,6 @@ pub fn shifted_rows(
         }
     }
     rows
-}
-
-/// [`reference_detections`] for an arbitrary backend recipe: the same
-/// spec run in-process through the generic builder the daemon's
-/// workers use.
-pub fn reference_backend_detections<B: snod_core::DetectorBackend>(
-    spec: &TenantSpec,
-    backend: &B,
-    rows: &[(u32, u64, Vec<f64>)],
-    per_leaf: u64,
-) -> Vec<DetRow> {
-    let mut rt = spec
-        .build_backend_runtime(backend)
-        .expect("reference runtime");
-    let table: std::collections::HashMap<(u32, u64), Vec<f64>> = rows
-        .iter()
-        .map(|(n, s, v)| ((*n, *s), v.clone()))
-        .collect();
-    let mut source = |node: snod_engine::NodeId, seq: u64| table.get(&(node.0, seq)).cloned();
-    rt.run(&mut source, per_leaf);
-    let mut out = Vec::new();
-    for (node, engine) in rt.engines() {
-        for d in B::detections(engine) {
-            out.push((node.0, d.time_ns, d.level, d.value.clone()));
-        }
-    }
-    out
 }
 
 /// Per-leaf totals for a Finish frame.

@@ -45,8 +45,7 @@ fn fqn_tenant_matches_in_process_run() {
         ..common::spec(4, &[2, 2])
     };
     let rows = common::synth_rows(&spec, 96, 5);
-    let backend = spec.fqn_backend().expect("fqn recipe");
-    let want = common::reference_backend_detections(&spec, &backend, &rows, 96);
+    let want = common::reference_detections(&spec, &rows, 96);
     assert!(!want.is_empty(), "trace must produce FQN detections");
 
     let got = serve_and_query(&spec, &rows, 96, "fqn");
@@ -60,8 +59,7 @@ fn mmdew_tenant_matches_in_process_run() {
         ..common::spec(4, &[2, 2])
     };
     let rows = common::shifted_rows(&spec, 160, 80, 9);
-    let backend = spec.mmdew_backend().expect("mmdew recipe");
-    let want = common::reference_backend_detections(&spec, &backend, &rows, 160);
+    let want = common::reference_detections(&spec, &rows, 160);
     assert!(!want.is_empty(), "shifted trace must raise MMDEW alarms");
 
     let got = serve_and_query(&spec, &rows, 160, "mmdew");

@@ -23,8 +23,12 @@
 //!   change detection over exponential windows.
 //! * [`core`] — the paper's algorithms D3 (distributed distance-based
 //!   deviation detection) and MGDD (multi-granular MDEF detection), the
-//!   centralized baseline and §9 applications, plus the pluggable
-//!   [`core::DetectorBackend`] recipes (D3, MGDD, FQN, MMDEW).
+//!   centralized baseline and §9 applications. Every detector is a
+//!   [`core::DetectorBackend`] recipe (D3, MGDD, FQN, MMDEW) built and
+//!   run through [`core::build_backend_network`],
+//!   [`core::build_backend_live`] and
+//!   [`core::run_backend_with_faults`]; D3 and FQN are one
+//!   [`core::ContainmentNode`] under two [`core::LeafRule`]s.
 //! * [`data`] — the evaluation workloads: the synthetic Gaussian-mixture
 //!   streams and calibrated stand-ins for the paper's proprietary engine
 //!   and Pacific-Northwest environmental datasets.

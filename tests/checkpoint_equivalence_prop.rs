@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 
 use sensor_outliers::core::{
-    build_d3_live, build_d3_network, build_mgdd_live, build_mgdd_network, D3Config, EstimatorConfig,
+    build_backend_live, build_backend_network, D3Backend, D3Config, EstimatorConfig, MgddBackend,
     MgddConfig, MonitorConfig, MonitorNode, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
@@ -58,21 +58,24 @@ fn estimator() -> EstimatorConfig {
         .unwrap()
 }
 
-fn d3_config() -> D3Config {
-    D3Config {
+fn d3_backend() -> D3Backend {
+    D3Backend(D3Config {
         estimator: estimator(),
         rule: DistanceOutlierConfig::new(8.0, 0.02),
         sample_fraction: 0.5,
-    }
+    })
 }
 
-fn mgdd_config() -> MgddConfig {
-    MgddConfig {
-        estimator: estimator(),
-        rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
-        sample_fraction: 0.75,
-        updates: UpdateStrategy::EveryAcceptance,
-        staleness_bound_ns: Some(30_000_000_000),
+fn mgdd_backend() -> MgddBackend {
+    MgddBackend {
+        cfg: MgddConfig {
+            estimator: estimator(),
+            rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
+            sample_fraction: 0.75,
+            updates: UpdateStrategy::EveryAcceptance,
+            staleness_bound_ns: Some(30_000_000_000),
+        },
+        broadcast_levels: vec![],
     }
 }
 
@@ -183,12 +186,12 @@ proptest! {
         let cut = (HORIZON_NS as f64 * cut_frac) as u64;
         let plan = plan_from(faulted == 1, salt);
         sim_split_equals_straight!(
-            build_d3_network(topo(), &d3_config(), SimConfig::default(), plan.clone()).unwrap(),
+            build_backend_network(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap(),
             salt,
             cut
         );
         live_split_equals_straight!(
-            build_d3_live(topo(), &d3_config(), SimConfig::default(), plan.clone()).unwrap(),
+            build_backend_live(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap(),
             salt,
             cut
         );
@@ -202,16 +205,13 @@ proptest! {
     ) {
         let cut = (HORIZON_NS as f64 * cut_frac) as u64;
         let plan = plan_from(faulted == 1, salt);
-        let top = topo().level_count() as u8;
         sim_split_equals_straight!(
-            build_mgdd_network(topo(), &mgdd_config(), SimConfig::default(), plan.clone(), &[top])
-                .unwrap(),
+            build_backend_network(&mgdd_backend(), topo(), SimConfig::default(), plan.clone()).unwrap(),
             salt,
             cut
         );
         live_split_equals_straight!(
-            build_mgdd_live(topo(), &mgdd_config(), SimConfig::default(), plan.clone(), &[top])
-                .unwrap(),
+            build_backend_live(&mgdd_backend(), topo(), SimConfig::default(), plan.clone()).unwrap(),
             salt,
             cut
         );
@@ -243,17 +243,17 @@ proptest! {
         let mut src = source_with(salt);
 
         let mut straight =
-            build_d3_network(topo(), &d3_config(), SimConfig::default(), plan.clone()).unwrap();
+            build_backend_network(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap();
         straight.run(&mut src, READINGS);
         let expect = straight.checkpoint();
 
         let mut first =
-            build_d3_network(topo(), &d3_config(), SimConfig::default(), plan.clone()).unwrap();
+            build_backend_network(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap();
         first.run_until(&mut src, READINGS, cut);
         let snap = first.checkpoint();
 
         let mut live =
-            build_d3_live(topo(), &d3_config(), SimConfig::default(), plan.clone()).unwrap();
+            build_backend_live(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap();
         live.restore(&snap).expect("a simulator snapshot restores into a live runtime");
         live.run_until(&mut src, READINGS, u64::MAX, &mut VirtualClock);
         prop_assert_eq!(

@@ -11,8 +11,8 @@
 //! fast-forwarding its generators.
 
 use sensor_outliers::core::{
-    build_d3_network, build_mgdd_network, D3Config, D3Node, D3Payload, EstimatorConfig, MgddConfig,
-    MgddNode, MgddPayload, UpdateStrategy,
+    build_backend_network, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
+    EstimatorConfig, MgddBackend, MgddConfig, MgddNode, MgddPayload, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::persist::PersistError;
@@ -50,12 +50,12 @@ fn estimator() -> EstimatorConfig {
         .unwrap()
 }
 
-fn d3_config() -> D3Config {
-    D3Config {
+fn d3_backend() -> D3Backend {
+    D3Backend(D3Config {
         estimator: estimator(),
         rule: DistanceOutlierConfig::new(8.0, 0.02),
         sample_fraction: 0.5,
-    }
+    })
 }
 
 fn mgdd_config() -> MgddConfig {
@@ -87,44 +87,26 @@ fn random_faults(topo: &Hierarchy) -> (FaultPlan, SimConfig) {
 }
 
 fn d3_net(sim: SimConfig, plan: FaultPlan) -> Network<D3Payload, D3Node> {
-    build_d3_network(topo(), &d3_config(), sim, plan).unwrap()
+    build_backend_network(&d3_backend(), topo(), sim, plan).unwrap()
 }
 
 fn mgdd_net(sim: SimConfig, plan: FaultPlan) -> Network<MgddPayload, MgddNode> {
-    let t = topo();
-    let top = t.level_count() as u8;
-    build_mgdd_network(t, &mgdd_config(), sim, plan, &[top]).unwrap()
+    let backend = MgddBackend {
+        cfg: mgdd_config(),
+        broadcast_levels: vec![],
+    };
+    build_backend_network(&backend, topo(), sim, plan).unwrap()
 }
 
 /// Per node: `(node id, [(time, value bits, level)])`.
 type DetectionTrace = Vec<(u32, Vec<(u64, Vec<u64>, u8)>)>;
 
-fn d3_detections(net: &Network<D3Payload, D3Node>) -> DetectionTrace {
+fn detections<B: DetectorBackend>(net: &Network<B::Payload, B::Engine>) -> DetectionTrace {
     net.apps()
         .map(|(node, app)| {
             (
                 node.0,
-                app.detections
-                    .iter()
-                    .map(|d| {
-                        (
-                            d.time_ns,
-                            d.value.iter().map(|v| v.to_bits()).collect(),
-                            d.level,
-                        )
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn mgdd_detections(net: &Network<MgddPayload, MgddNode>) -> DetectionTrace {
-    net.apps()
-        .map(|(node, app)| {
-            (
-                node.0,
-                app.detections
+                B::detections(app)
                     .iter()
                     .map(|d| {
                         (
@@ -163,7 +145,7 @@ fn d3_faultless_resume_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(d3_detections(&uninterrupted), d3_detections(&resumed));
+    assert_eq!(detections::<D3Backend>(&uninterrupted), detections::<D3Backend>(&resumed));
 }
 
 #[test]
@@ -185,7 +167,7 @@ fn d3_resume_under_random_faults_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(d3_detections(&uninterrupted), d3_detections(&resumed));
+    assert_eq!(detections::<D3Backend>(&uninterrupted), detections::<D3Backend>(&resumed));
 }
 
 #[test]
@@ -235,7 +217,7 @@ fn d3_checkpoint_restores_across_engine_parallelism() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(d3_detections(&uninterrupted), d3_detections(&resumed));
+    assert_eq!(detections::<D3Backend>(&uninterrupted), detections::<D3Backend>(&resumed));
 }
 
 #[test]
@@ -265,7 +247,7 @@ fn d3_file_round_trip_is_atomic_and_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(d3_detections(&uninterrupted), d3_detections(&resumed));
+    assert_eq!(detections::<D3Backend>(&uninterrupted), detections::<D3Backend>(&resumed));
     std::fs::remove_file(&path).ok();
 }
 
@@ -286,7 +268,7 @@ fn mgdd_faultless_resume_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(mgdd_detections(&uninterrupted), mgdd_detections(&resumed));
+    assert_eq!(detections::<MgddBackend>(&uninterrupted), detections::<MgddBackend>(&resumed));
 }
 
 #[test]
@@ -308,7 +290,7 @@ fn mgdd_resume_under_random_faults_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(mgdd_detections(&uninterrupted), mgdd_detections(&resumed));
+    assert_eq!(detections::<MgddBackend>(&uninterrupted), detections::<MgddBackend>(&resumed));
 }
 
 #[test]
@@ -339,7 +321,7 @@ fn mgdd_resume_with_warm_restart_policy_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(mgdd_detections(&uninterrupted), mgdd_detections(&resumed));
+    assert_eq!(detections::<MgddBackend>(&uninterrupted), detections::<MgddBackend>(&resumed));
 }
 
 // ----------------------------------------------------- compatibility --
@@ -353,7 +335,7 @@ fn restore_rejects_a_checkpoint_from_a_different_world() {
     // Different topology.
     let other_topo = Hierarchy::balanced(8, &[2, 2, 2]).unwrap();
     let mut other =
-        build_d3_network(other_topo, &d3_config(), SimConfig::default(), FaultPlan::none())
+        build_backend_network(&d3_backend(), other_topo, SimConfig::default(), FaultPlan::none())
             .unwrap();
     assert!(matches!(
         other.restore(&snapshot),
@@ -383,7 +365,7 @@ fn restore_rejects_a_checkpoint_from_a_different_world() {
     let mut reference = d3_net(SimConfig::default(), FaultPlan::none());
     let other_topo = Hierarchy::balanced(8, &[2, 2, 2]).unwrap();
     let mut alien =
-        build_d3_network(other_topo, &d3_config(), SimConfig::default(), FaultPlan::none())
+        build_backend_network(&d3_backend(), other_topo, SimConfig::default(), FaultPlan::none())
             .unwrap();
     alien.run_until(&mut source, READINGS, CUT_NS);
     assert!(pristine.restore(&alien.checkpoint()).is_err());

@@ -13,8 +13,8 @@
 //! change an outcome.
 
 use sensor_outliers::core::{
-    run_d3_with_faults, run_mgdd_with_faults, D3Config, D3Node, D3Payload, EstimatorConfig,
-    MgddConfig, MgddNode, MgddPayload, UpdateStrategy,
+    run_backend_with_faults, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
+    EstimatorConfig, MgddBackend, MgddConfig, MgddNode, MgddPayload, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::simnet::{
@@ -96,47 +96,29 @@ fn blackout_plan() -> FaultPlan {
     FaultPlan::none().burst(0, u64::MAX, 1.0)
 }
 
-fn run_d3(plan: FaultPlan, sim: SimConfig) -> Network<D3Payload, D3Node> {
+fn d3_run(plan: FaultPlan, sim: SimConfig) -> Network<D3Payload, D3Node> {
     let mut src = source;
-    run_d3_with_faults(topo(), &d3_config(), sim, plan, &mut src, READINGS).unwrap()
+    run_backend_with_faults(&D3Backend(d3_config()), topo(), sim, plan, &mut src, READINGS).unwrap()
 }
 
-fn run_mgdd(plan: FaultPlan, sim: SimConfig) -> Network<MgddPayload, MgddNode> {
+fn mgdd_run(plan: FaultPlan, sim: SimConfig) -> Network<MgddPayload, MgddNode> {
     let mut src = source;
-    let t = topo();
-    let top = t.level_count() as u8;
-    run_mgdd_with_faults(t, &mgdd_config(), sim, plan, &mut src, READINGS, &[top]).unwrap()
+    let backend = MgddBackend {
+        cfg: mgdd_config(),
+        broadcast_levels: vec![],
+    };
+    run_backend_with_faults(&backend, topo(), sim, plan, &mut src, READINGS).unwrap()
 }
 
 /// Per node: `(node id, [(time, value bits, level)])`.
 type DetectionTrace = Vec<(u32, Vec<(u64, Vec<u64>, u8)>)>;
 
-fn d3_detections(net: &Network<D3Payload, D3Node>) -> DetectionTrace {
+fn detections<B: DetectorBackend>(net: &Network<B::Payload, B::Engine>) -> DetectionTrace {
     net.apps()
         .map(|(node, app)| {
             (
                 node.0,
-                app.detections
-                    .iter()
-                    .map(|d| {
-                        (
-                            d.time_ns,
-                            d.value.iter().map(|v| v.to_bits()).collect(),
-                            d.level,
-                        )
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-fn mgdd_detections(net: &Network<MgddPayload, MgddNode>) -> DetectionTrace {
-    net.apps()
-        .map(|(node, app)| {
-            (
-                node.0,
-                app.detections
+                B::detections(app)
                     .iter()
                     .map(|d| {
                         (
@@ -162,23 +144,23 @@ fn assert_stats_identical(a: &NetStats, b: &NetStats) {
 #[test]
 fn d3_zero_probability_plan_reproduces_the_faultless_trace() {
     let sim = SimConfig::default().with_reliability(reliability());
-    let baseline = run_d3(FaultPlan::none(), sim);
-    let armed = run_d3(zero_plan(), sim);
+    let baseline = d3_run(FaultPlan::none(), sim);
+    let armed = d3_run(zero_plan(), sim);
     assert_stats_identical(baseline.stats(), armed.stats());
-    assert_eq!(d3_detections(&baseline), d3_detections(&armed));
+    assert_eq!(detections::<D3Backend>(&baseline), detections::<D3Backend>(&armed));
 }
 
 #[test]
 fn d3_deterministic_degradation_trace() {
     let sim = SimConfig::default();
-    let baseline = run_d3(FaultPlan::none(), sim);
+    let baseline = d3_run(FaultPlan::none(), sim);
     let plan = degraded_plan(&topo());
-    let faulty = run_d3(plan, sim);
+    let faulty = d3_run(plan, sim);
 
     // The run is seeded end to end: replaying it is bit-identical.
-    let again = run_d3(degraded_plan(&topo()), sim);
+    let again = d3_run(degraded_plan(&topo()), sim);
     assert_stats_identical(faulty.stats(), again.stats());
-    assert_eq!(d3_detections(&faulty), d3_detections(&again));
+    assert_eq!(detections::<D3Backend>(&faulty), detections::<D3Backend>(&again));
 
     // Broadcast-free D3 leaves never receive anything, so leaves the
     // plan does not touch behave bit-identically to the baseline.
@@ -208,8 +190,8 @@ fn d3_deterministic_degradation_trace() {
 #[test]
 fn d3_blackout_trace_is_exact() {
     let sim = SimConfig::default().with_reliability(reliability());
-    let baseline = run_d3(FaultPlan::none(), sim);
-    let dark = run_d3(blackout_plan(), sim);
+    let baseline = d3_run(FaultPlan::none(), sim);
+    let dark = d3_run(blackout_plan(), sim);
 
     // Every frame aired was lost, nothing was ever acknowledged.
     assert_eq!(dark.stats().dropped, dark.stats().messages);
@@ -219,7 +201,7 @@ fn d3_blackout_trace_is_exact() {
 
     // Nothing crossed the network: every detection is leaf-local, and
     // the leaves behave exactly as in the faultless run.
-    for (node, dets) in d3_detections(&dark) {
+    for (node, dets) in detections::<D3Backend>(&dark) {
         assert!(
             dets.iter().all(|&(_, _, level)| level == 1),
             "node {node} detected through a dead network"
@@ -234,9 +216,9 @@ fn d3_blackout_trace_is_exact() {
     }
 
     // Replay is bit-identical.
-    let again = run_d3(blackout_plan(), sim);
+    let again = d3_run(blackout_plan(), sim);
     assert_stats_identical(dark.stats(), again.stats());
-    assert_eq!(d3_detections(&dark), d3_detections(&again));
+    assert_eq!(detections::<D3Backend>(&dark), detections::<D3Backend>(&again));
 }
 
 // -------------------------------------------------------------- MGDD --
@@ -244,10 +226,10 @@ fn d3_blackout_trace_is_exact() {
 #[test]
 fn mgdd_zero_probability_plan_reproduces_the_faultless_trace() {
     let sim = SimConfig::default().with_reliability(reliability());
-    let baseline = run_mgdd(FaultPlan::none(), sim);
-    let armed = run_mgdd(zero_plan(), sim);
+    let baseline = mgdd_run(FaultPlan::none(), sim);
+    let armed = mgdd_run(zero_plan(), sim);
     assert_stats_identical(baseline.stats(), armed.stats());
-    assert_eq!(mgdd_detections(&baseline), mgdd_detections(&armed));
+    assert_eq!(detections::<MgddBackend>(&baseline), detections::<MgddBackend>(&armed));
 }
 
 #[test]
@@ -258,22 +240,22 @@ fn mgdd_deterministic_degradation_trace() {
     let sim = SimConfig::default();
     let t = topo();
     let plan = FaultPlan::none().crash(t.root(), HORIZON_NS / 3, Some(2 * HORIZON_NS / 3));
-    let faulty = run_mgdd(plan.clone(), sim);
+    let faulty = mgdd_run(plan.clone(), sim);
     assert!(
         faulty.stats().degraded_scores > 0 || faulty.stats().local_fallbacks > 0,
         "a dead broadcaster caused no degradation at all"
     );
     assert!(faulty.stats().lost_to_crash > 0, "no frame died at the root");
 
-    let again = run_mgdd(plan, sim);
+    let again = mgdd_run(plan, sim);
     assert_stats_identical(faulty.stats(), again.stats());
-    assert_eq!(mgdd_detections(&faulty), mgdd_detections(&again));
+    assert_eq!(detections::<MgddBackend>(&faulty), detections::<MgddBackend>(&again));
 }
 
 #[test]
 fn mgdd_blackout_falls_back_to_local_models() {
     let sim = SimConfig::default().with_reliability(reliability());
-    let dark = run_mgdd(blackout_plan(), sim);
+    let dark = mgdd_run(blackout_plan(), sim);
 
     assert_eq!(dark.stats().dropped, dark.stats().messages);
     assert_eq!(dark.stats().acks, 0);
@@ -281,14 +263,14 @@ fn mgdd_blackout_falls_back_to_local_models() {
         dark.stats().local_fallbacks > 0,
         "orphaned leaves never fell back to local detection"
     );
-    for (node, dets) in mgdd_detections(&dark) {
+    for (node, dets) in detections::<MgddBackend>(&dark) {
         assert!(
             dets.iter().all(|&(_, _, level)| level == 1),
             "node {node} scored against a model it could never have received"
         );
     }
 
-    let again = run_mgdd(blackout_plan(), sim);
+    let again = mgdd_run(blackout_plan(), sim);
     assert_stats_identical(dark.stats(), again.stats());
-    assert_eq!(mgdd_detections(&dark), mgdd_detections(&again));
+    assert_eq!(detections::<MgddBackend>(&dark), detections::<MgddBackend>(&again));
 }

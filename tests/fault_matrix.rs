@@ -9,9 +9,9 @@
 //! so the matrix is stable across `rand` versions and platforms.
 
 use sensor_outliers::core::{
-    build_mgdd_network, run_d3_with_faults, run_fqn_with_faults, run_mgdd_with_faults,
-    run_mmdew_with_faults, D3Config, EstimatorConfig, FqnConfig, MgddConfig, MmdewNodeConfig,
-    UpdateStrategy,
+    build_backend_network, run_backend_with_faults, D3Backend, D3Config, DetectorBackend,
+    EstimatorConfig, FqnBackend, FqnConfig, MgddBackend, MgddConfig, MmdewBackend,
+    MmdewNodeConfig, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::simnet::{
@@ -90,33 +90,30 @@ fn assert_accounting_consistent(label: &str, stats: &NetStats) {
     );
 }
 
-#[test]
-fn d3_matrix_stays_sound_at_every_cell() {
+/// One containment-engine row of the matrix: whatever the plan did, the
+/// counters stay consistent, leader detections only ever echo
+/// leaf-flagged values (Theorem 3 — parents re-check escalations but
+/// never admit them), and leaves keep flagging the planted deviations.
+fn containment_matrix_stays_sound<B: DetectorBackend>(recipe: impl Fn(u64) -> B) {
     for seed in SEEDS {
         let topo = topo();
         for (label, plan) in fault_levels(&topo, seed) {
-            let cfg = D3Config {
-                estimator: estimator(seed),
-                rule: DistanceOutlierConfig::new(8.0, 0.02),
-                sample_fraction: 0.5,
-            };
+            let backend = recipe(seed);
             let sim = SimConfig::default().with_reliability(RetryPolicy::default());
             let mut src = source_for(seed);
-            let net = run_d3_with_faults(topo.clone(), &cfg, sim, plan, &mut src, READINGS)
+            let net = run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
                 .expect("valid config");
-            let cell = format!("d3/seed {seed}/{label}");
+            let cell = format!("{}/seed {seed}/{label}", backend.kind());
             assert_accounting_consistent(&cell, net.stats());
 
-            // Theorem 3 containment: leader detections only ever echo
-            // leaf-flagged values.
             let leaf_keys: std::collections::HashSet<Vec<u64>> = net
                 .apps()
-                .flat_map(|(_, app)| app.detections.iter())
+                .flat_map(|(_, app)| B::detections(app))
                 .filter(|d| d.level == 1)
                 .map(|d| d.value.iter().map(|v| v.to_bits()).collect())
                 .collect();
             for (_, app) in net.apps() {
-                for d in app.detections.iter().filter(|d| d.level > 1) {
+                for d in B::detections(app).iter().filter(|d| d.level > 1) {
                     let key: Vec<u64> = d.value.iter().map(|v| v.to_bits()).collect();
                     assert!(leaf_keys.contains(&key), "{cell}: unsound escalation");
                 }
@@ -127,58 +124,37 @@ fn d3_matrix_stays_sound_at_every_cell() {
             let leaf_detections: usize = topo
                 .leaves()
                 .iter()
-                .map(|&l| net.app(l).detections.len())
+                .map(|&l| B::detections(net.app(l)).len())
                 .sum();
             assert!(leaf_detections > 0, "{cell}: leaves went blind");
         }
     }
 }
 
-/// The FQN row: the robust-scale detector shares D3's escalation
-/// protocol, so its soundness claim is the same containment — a leader
-/// only ever records values some leaf flagged first (parents re-check
-/// escalations but never admit them into their own windows).
+#[test]
+fn d3_matrix_stays_sound_at_every_cell() {
+    containment_matrix_stays_sound(|seed| {
+        D3Backend(D3Config {
+            estimator: estimator(seed),
+            rule: DistanceOutlierConfig::new(8.0, 0.02),
+            sample_fraction: 0.5,
+        })
+    });
+}
+
+/// The FQN row: the robust-scale rule inside the same engine.
 #[test]
 fn fqn_matrix_stays_sound_at_every_cell() {
-    for seed in SEEDS {
-        let topo = topo();
-        for (label, plan) in fault_levels(&topo, seed) {
-            let cfg = FqnConfig {
-                dimensions: 1,
-                window: 128,
-                k_scale: 4.0,
-                warmup: 32,
-                sample_fraction: 0.5,
-                seed,
-            };
-            let sim = SimConfig::default().with_reliability(RetryPolicy::default());
-            let mut src = source_for(seed);
-            let net = run_fqn_with_faults(topo.clone(), &cfg, sim, plan, &mut src, READINGS)
-                .expect("valid config");
-            let cell = format!("fqn/seed {seed}/{label}");
-            assert_accounting_consistent(&cell, net.stats());
-
-            let leaf_keys: std::collections::HashSet<Vec<u64>> = net
-                .apps()
-                .flat_map(|(_, app)| app.detections.iter())
-                .filter(|d| d.level == 1)
-                .map(|d| d.value.iter().map(|v| v.to_bits()).collect())
-                .collect();
-            for (_, app) in net.apps() {
-                for d in app.detections.iter().filter(|d| d.level > 1) {
-                    let key: Vec<u64> = d.value.iter().map(|v| v.to_bits()).collect();
-                    assert!(leaf_keys.contains(&key), "{cell}: unsound escalation");
-                }
-            }
-
-            let leaf_detections: usize = topo
-                .leaves()
-                .iter()
-                .map(|&l| net.app(l).detections.len())
-                .sum();
-            assert!(leaf_detections > 0, "{cell}: leaves went blind");
-        }
-    }
+    containment_matrix_stays_sound(|seed| {
+        FqnBackend(FqnConfig {
+            dimensions: 1,
+            window: 128,
+            k_scale: 4.0,
+            warmup: 32,
+            sample_fraction: 0.5,
+            seed,
+        })
+    });
 }
 
 /// A piecewise-stationary workload for the MMDEW row: every leaf's mean
@@ -204,7 +180,8 @@ fn mmdew_matrix_keeps_alarming_at_every_cell() {
             cfg.detector.seed = seed;
             let sim = SimConfig::default().with_reliability(RetryPolicy::default());
             let mut src = shifting_source_for(seed);
-            let net = run_mmdew_with_faults(topo.clone(), &cfg, sim, plan, &mut src, READINGS)
+            let backend = MmdewBackend(cfg);
+            let net = run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
                 .expect("valid config");
             let cell = format!("mmdew/seed {seed}/{label}");
             assert_accounting_consistent(&cell, net.stats());
@@ -246,14 +223,16 @@ fn mmdew_matrix_keeps_alarming_at_every_cell() {
 #[test]
 fn mgdd_warm_restart_skips_the_staleness_window_cold_restarts_incur() {
     let topo = topo();
-    let top = topo.level_count() as u8;
     let seed = SEEDS[1];
-    let cfg = MgddConfig {
-        estimator: estimator(seed),
-        rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
-        sample_fraction: 0.75,
-        updates: UpdateStrategy::EveryAcceptance,
-        staleness_bound_ns: Some(20_000_000_000),
+    let backend = MgddBackend {
+        cfg: MgddConfig {
+            estimator: estimator(seed),
+            rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
+            sample_fraction: 0.75,
+            updates: UpdateStrategy::EveryAcceptance,
+            staleness_bound_ns: Some(20_000_000_000),
+        },
+        broadcast_levels: vec![],
     };
     // Crash one leaf (a replica holder) for the middle third.
     let victim = topo.leaves()[0];
@@ -264,7 +243,7 @@ fn mgdd_warm_restart_skips_the_staleness_window_cold_restarts_incur() {
 
     let run = |policy: RestartPolicy| {
         let mut src = source_for(seed);
-        let mut net = build_mgdd_network(topo.clone(), &cfg, sim, plan.clone(), &[top])
+        let mut net = build_backend_network(&backend, topo.clone(), sim, plan.clone())
             .expect("valid config")
             .with_restart_policy(policy);
         net.run(&mut src, READINGS);
@@ -311,18 +290,20 @@ fn mgdd_matrix_degrades_gracefully_at_every_cell() {
         let topo = topo();
         let top = topo.level_count() as u8;
         for (label, plan) in fault_levels(&topo, seed) {
-            let cfg = MgddConfig {
-                estimator: estimator(seed),
-                rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
-                sample_fraction: 0.75,
-                updates: UpdateStrategy::EveryAcceptance,
-                staleness_bound_ns: Some(20_000_000_000),
+            let backend = MgddBackend {
+                cfg: MgddConfig {
+                    estimator: estimator(seed),
+                    rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
+                    sample_fraction: 0.75,
+                    updates: UpdateStrategy::EveryAcceptance,
+                    staleness_bound_ns: Some(20_000_000_000),
+                },
+                broadcast_levels: vec![],
             };
             let sim = SimConfig::default().with_reliability(RetryPolicy::default());
             let mut src = source_for(seed);
-            let net =
-                run_mgdd_with_faults(topo.clone(), &cfg, sim, plan, &mut src, READINGS, &[top])
-                    .expect("valid config");
+            let net = run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
+                .expect("valid config");
             let cell = format!("mgdd/seed {seed}/{label}");
             assert_accounting_consistent(&cell, net.stats());
 

@@ -16,7 +16,9 @@
 
 use proptest::prelude::*;
 
-use sensor_outliers::core::{run_d3_with_faults, D3Config, EstimatorConfig};
+use sensor_outliers::core::{
+    run_backend, run_backend_with_faults, D3Backend, D3Config, EstimatorConfig,
+};
 use sensor_outliers::outlier::DistanceOutlierConfig;
 use sensor_outliers::simnet::{
     Ctx, DetectorEngine, FaultPlan, Hierarchy, LinkFault, Network, NodeId, RetryPolicy, SimConfig,
@@ -40,8 +42,8 @@ fn source(node: NodeId, seq: u64) -> Option<Vec<f64>> {
     }
 }
 
-fn d3_config() -> D3Config {
-    D3Config {
+fn d3_backend() -> D3Backend {
+    D3Backend(D3Config {
         estimator: EstimatorConfig::builder()
             .window(200)
             .sample_size(40)
@@ -50,7 +52,7 @@ fn d3_config() -> D3Config {
             .unwrap(),
         rule: DistanceOutlierConfig::new(8.0, 0.02),
         sample_fraction: 0.5,
-    }
+    })
 }
 
 /// An arbitrary fault plan: one loss burst, one crash (possibly
@@ -141,7 +143,7 @@ proptest! {
             sim = sim.with_reliability(RetryPolicy::default());
         }
         let mut src = source;
-        let net = run_d3_with_faults(topo(), &d3_config(), sim, plan, &mut src, READINGS)
+        let net = run_backend_with_faults(&d3_backend(), topo(), sim, plan, &mut src, READINGS)
             .expect("valid config");
         let leaf_keys: std::collections::HashSet<Vec<u64>> = net
             .apps()
@@ -197,12 +199,10 @@ proptest! {
             .link(LinkFault::delay_all(0, 0).duplicate(0.0));
         let sim = SimConfig::default().with_reliability(RetryPolicy::default());
         let mut src_a = source;
-        let plain = run_d3_with_faults(
-            topo(), &d3_config(), sim, FaultPlan::none(), &mut src_a, READINGS,
-        )
-        .expect("valid config");
+        let plain = run_backend(&d3_backend(), topo(), sim, &mut src_a, READINGS)
+            .expect("valid config");
         let mut src_b = source;
-        let armed = run_d3_with_faults(topo(), &d3_config(), sim, zero, &mut src_b, READINGS)
+        let armed = run_backend_with_faults(&d3_backend(), topo(), sim, zero, &mut src_b, READINGS)
             .expect("valid config");
         prop_assert_eq!(plain.stats(), armed.stats());
         for (node, app) in plain.apps() {

@@ -18,9 +18,9 @@
 //! `SNOD_REGEN_GOLDENS=1 cargo test --test golden_checkpoints`
 
 use sensor_outliers::core::{
-    build_d3_network, build_fqn_network, build_mgdd_network, build_mmdew_network, D3Config, D3Node,
-    D3Payload, EstimatorConfig, FqnConfig, FqnNode, FqnPayload, MgddConfig, MgddNode, MgddPayload,
-    MmdewNode, MmdewNodeConfig, MmdewPayload, UpdateStrategy,
+    build_backend_network, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
+    EstimatorConfig, FqnBackend, FqnConfig, FqnNode, FqnPayload, MgddBackend, MgddConfig, MgddNode,
+    MgddPayload, MmdewBackend, MmdewNode, MmdewNodeConfig, MmdewPayload, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::persist::{crc32, decode_checkpoint, FORMAT_VERSION, HEADER_LEN, MAGIC};
@@ -57,13 +57,17 @@ fn estimator() -> EstimatorConfig {
         .unwrap()
 }
 
+fn build<B: DetectorBackend>(backend: &B) -> Network<B::Payload, B::Engine> {
+    build_backend_network(backend, topo(), SimConfig::default(), FaultPlan::none()).unwrap()
+}
+
 fn d3_net() -> Network<D3Payload, D3Node> {
     let cfg = D3Config {
         estimator: estimator(),
         rule: DistanceOutlierConfig::new(8.0, 0.02),
         sample_fraction: 0.5,
     };
-    build_d3_network(topo(), &cfg, SimConfig::default(), FaultPlan::none()).unwrap()
+    build(&D3Backend(cfg))
 }
 
 fn mgdd_net() -> Network<MgddPayload, MgddNode> {
@@ -74,9 +78,10 @@ fn mgdd_net() -> Network<MgddPayload, MgddNode> {
         updates: UpdateStrategy::EveryAcceptance,
         staleness_bound_ns: Some(30_000_000_000),
     };
-    let t = topo();
-    let top = t.level_count() as u8;
-    build_mgdd_network(t, &cfg, SimConfig::default(), FaultPlan::none(), &[top]).unwrap()
+    build(&MgddBackend {
+        cfg,
+        broadcast_levels: vec![],
+    })
 }
 
 fn fqn_net() -> Network<FqnPayload, FqnNode> {
@@ -88,13 +93,13 @@ fn fqn_net() -> Network<FqnPayload, FqnNode> {
         sample_fraction: 0.5,
         seed: 21,
     };
-    build_fqn_network(topo(), &cfg, SimConfig::default(), FaultPlan::none()).unwrap()
+    build(&FqnBackend(cfg))
 }
 
 fn mmdew_net() -> Network<MmdewPayload, MmdewNode> {
     let mut cfg = MmdewNodeConfig::default();
     cfg.detector.seed = 21;
-    build_mmdew_network(topo(), &cfg, SimConfig::default(), FaultPlan::none()).unwrap()
+    build(&MmdewBackend(cfg))
 }
 
 /// The checkpoint an interrupted run would have written at `CUT_NS`.

@@ -25,11 +25,11 @@
 use std::sync::{Mutex, MutexGuard};
 
 use sensor_outliers::core::{
-    run_d3_with_faults, run_mgdd_with_faults, D3Config, D3Node, D3Payload, EstimatorConfig,
-    MgddConfig, MgddNode, MgddPayload, UpdateStrategy,
+    run_backend, D3Backend, D3Config, D3Node, D3Payload, Detection, DetectorBackend,
+    EstimatorConfig, MgddBackend, MgddConfig, MgddNode, MgddPayload, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
-use sensor_outliers::simnet::{FaultPlan, Hierarchy, NetStats, Network, NodeId, SimConfig};
+use sensor_outliers::simnet::{Hierarchy, NetStats, Network, NodeId, SimConfig};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -63,73 +63,44 @@ fn estimator() -> EstimatorConfig {
         .unwrap()
 }
 
-fn run_d3() -> Network<D3Payload, D3Node> {
-    let cfg = D3Config {
+fn d3_run() -> Network<D3Payload, D3Node> {
+    let backend = D3Backend(D3Config {
         estimator: estimator(),
         rule: DistanceOutlierConfig::new(8.0, 0.02),
         sample_fraction: 0.5,
-    };
+    });
     let mut src = source;
-    run_d3_with_faults(
-        topo(),
-        &cfg,
-        SimConfig::default(),
-        FaultPlan::none(),
-        &mut src,
-        READINGS,
-    )
-    .unwrap()
+    run_backend(&backend, topo(), SimConfig::default(), &mut src, READINGS).unwrap()
 }
 
-fn run_mgdd() -> Network<MgddPayload, MgddNode> {
-    let cfg = MgddConfig {
-        estimator: estimator(),
-        rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
-        sample_fraction: 0.75,
-        updates: UpdateStrategy::EveryAcceptance,
-        staleness_bound_ns: Some(30_000_000_000),
+fn mgdd_run() -> Network<MgddPayload, MgddNode> {
+    let backend = MgddBackend {
+        cfg: MgddConfig {
+            estimator: estimator(),
+            rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
+            sample_fraction: 0.75,
+            updates: UpdateStrategy::EveryAcceptance,
+            staleness_bound_ns: Some(30_000_000_000),
+        },
+        broadcast_levels: vec![],
     };
     let mut src = source;
-    let t = topo();
-    let top = t.level_count() as u8;
-    run_mgdd_with_faults(
-        t,
-        &cfg,
-        SimConfig::default(),
-        FaultPlan::none(),
-        &mut src,
-        READINGS,
-        &[top],
-    )
-    .unwrap()
+    run_backend(&backend, topo(), SimConfig::default(), &mut src, READINGS).unwrap()
 }
 
 /// Bit-exact digest of every node's detection stream.
 type Trace = Vec<(u32, Vec<(u64, Vec<u64>, u8)>)>;
 
-fn trace<P, A>(net: &Network<P, A>, dets: impl Fn(&A) -> Trace2) -> Trace
-where
-    P: sensor_outliers::simnet::Wire,
-    A: sensor_outliers::simnet::DetectorEngine<P>,
-{
+fn trace<B: DetectorBackend>(net: &Network<B::Payload, B::Engine>) -> Trace {
     net.apps()
-        .map(|(node, app)| (node.0, dets(app)))
-        .collect()
-}
-
-type Trace2 = Vec<(u64, Vec<u64>, u8)>;
-
-fn d3_dets(app: &D3Node) -> Trace2 {
-    app.detections
-        .iter()
-        .map(|d| (d.time_ns, d.value.iter().map(|v| v.to_bits()).collect(), d.level))
-        .collect()
-}
-
-fn mgdd_dets(app: &MgddNode) -> Trace2 {
-    app.detections
-        .iter()
-        .map(|d| (d.time_ns, d.value.iter().map(|v| v.to_bits()).collect(), d.level))
+        .map(|(node, app)| {
+            let dets = B::detections(app).iter();
+            let bits = |d: &Detection| {
+                let value = d.value.iter().map(|v| v.to_bits()).collect();
+                (d.time_ns, value, d.level)
+            };
+            (node.0, dets.map(bits).collect())
+        })
         .collect()
 }
 
@@ -144,7 +115,7 @@ fn d3_trace_is_identical_with_collection_on_and_off() {
     let _guard = serial();
     snod_obs::set_active(true);
     snod_obs::reset();
-    let with_obs = run_d3();
+    let with_obs = d3_run();
     // Poke the registry between runs too: snapshotting and resetting
     // must be invisible to the next simulation.
     let snap = snod_obs::snapshot();
@@ -154,11 +125,11 @@ fn d3_trace_is_identical_with_collection_on_and_off() {
     snod_obs::reset();
 
     snod_obs::set_active(false);
-    let without_obs = run_d3();
+    let without_obs = d3_run();
     snod_obs::set_active(true);
 
     assert_stats_identical(with_obs.stats(), without_obs.stats());
-    assert_eq!(trace(&with_obs, d3_dets), trace(&without_obs, d3_dets));
+    assert_eq!(trace::<D3Backend>(&with_obs), trace::<D3Backend>(&without_obs));
 }
 
 #[test]
@@ -166,7 +137,7 @@ fn mgdd_trace_is_identical_with_collection_on_and_off() {
     let _guard = serial();
     snod_obs::set_active(true);
     snod_obs::reset();
-    let with_obs = run_mgdd();
+    let with_obs = mgdd_run();
     let snap = snod_obs::snapshot();
     if snod_obs::enabled() {
         assert!(
@@ -177,11 +148,11 @@ fn mgdd_trace_is_identical_with_collection_on_and_off() {
     snod_obs::reset();
 
     snod_obs::set_active(false);
-    let without_obs = run_mgdd();
+    let without_obs = mgdd_run();
     snod_obs::set_active(true);
 
     assert_stats_identical(with_obs.stats(), without_obs.stats());
-    assert_eq!(trace(&with_obs, mgdd_dets), trace(&without_obs, mgdd_dets));
+    assert_eq!(trace::<MgddBackend>(&with_obs), trace::<MgddBackend>(&without_obs));
 }
 
 /// The metrics must be *true*, not just harmless: radio counters agree
@@ -194,7 +165,7 @@ fn counters_agree_with_netstats() {
     let _guard = serial();
     snod_obs::set_active(true);
     snod_obs::reset();
-    let net = run_d3();
+    let net = d3_run();
     let snap = snod_obs::snapshot();
     let s = net.stats();
     assert_eq!(snap.counter("simnet.sends"), Some(s.messages));

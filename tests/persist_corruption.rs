@@ -4,8 +4,9 @@
 //! the committed golden bytes and the error class it must map to.
 
 use sensor_outliers::core::{
-    build_d3_network, build_fqn_network, build_mmdew_network, D3Config, D3Node, D3Payload,
-    EstimatorConfig, FqnConfig, FqnNode, FqnPayload, MmdewNode, MmdewNodeConfig, MmdewPayload,
+    build_backend_network, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
+    EstimatorConfig, FqnBackend, FqnConfig, FqnNode, FqnPayload, MmdewBackend, MmdewNode,
+    MmdewNodeConfig, MmdewPayload,
 };
 use sensor_outliers::outlier::DistanceOutlierConfig;
 use sensor_outliers::persist::{
@@ -131,6 +132,11 @@ fn mutations_of(golden: Vec<u8>) -> Vec<(&'static str, Vec<u8>, Expect)> {
     rows
 }
 
+fn build<B: DetectorBackend>(backend: &B) -> Network<B::Payload, B::Engine> {
+    let topo = Hierarchy::balanced(4, &[2, 2]).unwrap();
+    build_backend_network(backend, topo, SimConfig::default(), FaultPlan::none()).unwrap()
+}
+
 fn net() -> Network<D3Payload, D3Node> {
     let cfg = D3Config {
         estimator: EstimatorConfig::builder()
@@ -142,13 +148,7 @@ fn net() -> Network<D3Payload, D3Node> {
         rule: DistanceOutlierConfig::new(8.0, 0.02),
         sample_fraction: 0.5,
     };
-    build_d3_network(
-        Hierarchy::balanced(4, &[2, 2]).unwrap(),
-        &cfg,
-        SimConfig::default(),
-        FaultPlan::none(),
-    )
-    .unwrap()
+    build(&D3Backend(cfg))
 }
 
 fn fqn_net() -> Network<FqnPayload, FqnNode> {
@@ -160,25 +160,13 @@ fn fqn_net() -> Network<FqnPayload, FqnNode> {
         sample_fraction: 0.5,
         seed: 21,
     };
-    build_fqn_network(
-        Hierarchy::balanced(4, &[2, 2]).unwrap(),
-        &cfg,
-        SimConfig::default(),
-        FaultPlan::none(),
-    )
-    .unwrap()
+    build(&FqnBackend(cfg))
 }
 
 fn mmdew_net() -> Network<MmdewPayload, MmdewNode> {
     let mut cfg = MmdewNodeConfig::default();
     cfg.detector.seed = 21;
-    build_mmdew_network(
-        Hierarchy::balanced(4, &[2, 2]).unwrap(),
-        &cfg,
-        SimConfig::default(),
-        FaultPlan::none(),
-    )
-    .unwrap()
+    build(&MmdewBackend(cfg))
 }
 
 fn source(node: NodeId, seq: u64) -> Option<Vec<f64>> {

@@ -10,9 +10,11 @@
 //!   `k = C(h, 2)`, `h = ⌊n/2⌋ + 1` — a 50%-breakdown scale that
 //!   ignores both tails, so a contamination burst cannot inflate the
 //!   outlier threshold the way it inflates σ. The window keeps a sorted
-//!   buffer beside the arrival queue; Q_n queries run a value-space
-//!   bisection with an O(n) two-pointer pair count per probe (the
-//!   sorted-matrix rank-select), never materialising the O(n²)
+//!   buffer beside the arrival queue; a Q_n query brackets the k-th
+//!   difference around the previous answer with O(n) two-pointer pair
+//!   counts and selects inside the bracket (the sorted-matrix
+//!   rank-select), falling back to a value-space bisection — about 3
+//!   passes per query instead of ~21, never materialising the O(n²)
 //!   differences.
 //! * [`Mmdew`] — maximum mean discrepancy on exponential windows
 //!   (Kalinke et al., *Maximum Mean Discrepancy on Exponential Windows

@@ -1,6 +1,8 @@
 //! Streaming Q_n over a sliding window: sorted buffer + rank-select on
-//! the implicit matrix of pairwise differences.
+//! the implicit matrix of pairwise differences, warm-started from the
+//! previous answer.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
@@ -33,18 +35,32 @@ fn small_sample_factor(n: usize) -> f64 {
 /// A sliding window maintaining both arrival order (for eviction) and a
 /// sorted buffer (for the median and the Q_n rank-select).
 ///
-/// Push is `O(window)` (one binary search plus a memmove); a [`Self::qn`]
-/// query is `O(window · log(range/ulp))` via bisection over the
-/// difference value with an exact two-pointer count per probe — the
-/// bisection bounds snap to *achievable* differences every step, so the
-/// returned value is bit-identical to the k-th element of the fully
-/// materialised, sorted difference set (the property
+/// Push is `O(window)` (one binary search plus a memmove). A [`Self::qn`]
+/// query is a few `O(window)` two-pointer passes: it restarts from the
+/// previous answer (one push moves the k-th difference's rank by less
+/// than the window), brackets the answer and selects inside the bracket
+/// — about 3 passes at `W` = 512 where a cold bisection over
+/// `[0, range]` takes ~21. The first query after construction or restore
+/// is that cold bisection. Every path returns the k-th element of the
+/// fully materialised, sorted difference set bit for bit (the property
 /// `tests/fqn_equivalence.rs` pins).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct QnWindow {
     capacity: usize,
     arrival: VecDeque<f64>,
     sorted: Vec<f64>,
+    /// The k-th difference behind the last [`Self::qn`] answer (NaN =
+    /// none), the next query's starting point: derived, never
+    /// persisted, ignored by `PartialEq`.
+    hint: Cell<f64>,
+}
+
+impl PartialEq for QnWindow {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.arrival == other.arrival
+            && self.sorted == other.sorted
+    }
 }
 
 impl QnWindow {
@@ -57,6 +73,7 @@ impl QnWindow {
             capacity,
             arrival: VecDeque::with_capacity(capacity),
             sorted: Vec::with_capacity(capacity),
+            hint: Cell::new(f64::NAN),
         })
     }
 
@@ -132,7 +149,8 @@ impl QnWindow {
         }
         let h = n / 2 + 1;
         let k = h * (h - 1) / 2;
-        let kth = kth_smallest_pairwise_diff(&self.sorted, k);
+        let kth = kth_smallest_pairwise_diff(&self.sorted, k, self.hint.get());
+        self.hint.set(kth);
         Some(QN_CONSISTENCY * small_sample_factor(n) * kth)
     }
 
@@ -145,18 +163,71 @@ impl QnWindow {
     }
 }
 
-/// Exact k-th smallest (1-based) of `{xs[j] − xs[i]; i < j}` for a
-/// sorted `xs`: bisection on the difference value, where each probe
-/// counts pairs at or under the probe in `O(n)` and simultaneously
-/// finds the largest achievable difference ≤ the probe and the smallest
-/// one above it — the bounds therefore land on achievable differences,
-/// so the loop terminates on the exact answer (no float-tolerance
-/// fuzz).
-fn kth_smallest_pairwise_diff(xs: &[f64], k: usize) -> f64 {
+/// Sweeps after the one at the hint before the warm start gives up.
+const BRACKET_PROBES: usize = 3;
+
+/// Exact k-th smallest (1-based) of `{|xs[j] − xs[i]|; i < j}` for a
+/// sorted `xs`, warm-started from `hint` (a previous answer; NaN = none).
+///
+/// A sweep at the hint and up to [`BRACKET_PROBES`] more at
+/// `hint ∓ δ` (δ sized from the rank gap `|count − k|`, ×4 on a miss)
+/// look for probes `v_lo < v_hi` with counts `c_lo < k ≤ c_hi`. If the
+/// band holds at most `4n` pairs, one pass collects it and a selection
+/// picks rank `k − c_lo`; otherwise — and with no hint — the bisection
+/// runs from `[lo, hi]` as narrowed by the probes. Each probe narrows
+/// `[lo, hi]` exactly as a bisection step does, and the k-th smallest
+/// difference is one value, so every path returns the same bits.
+fn kth_smallest_pairwise_diff(xs: &[f64], k: usize, hint: f64) -> f64 {
     debug_assert!(xs.windows(2).all(|w| w[0] <= w[1]));
     let n = xs.len();
     let mut lo = 0.0_f64;
     let mut hi = xs[n - 1] - xs[0];
+    // `>=` is false for NaN: no hint, cold bisection.
+    if hint >= 0.0 && hint.is_finite() {
+        let mut under: Option<(f64, usize)> = None; // a probe with count < k
+        let mut over: Option<(f64, usize)> = None; // a probe with count ≥ k
+        let (mut v, mut delta) = (hint, 0.0);
+        for probe in 0..=BRACKET_PROBES {
+            if !(lo < hi) {
+                break;
+            }
+            let (count, below_max, above_min) = sweep(xs, v);
+            if count >= k {
+                hi = below_max;
+                over = Some((v, count));
+            } else {
+                lo = above_min;
+                under = Some((v, count));
+            }
+            delta = if probe == 0 {
+                hint * 2.0 * (count.abs_diff(k) + 16) as f64 / k as f64
+            } else {
+                4.0 * delta
+            };
+            match (under, over) {
+                (Some((v_lo, c_lo)), Some((v_hi, c_hi))) => {
+                    if lo < hi && c_hi - c_lo <= 4 * n {
+                        return select_in_band(xs, v_lo, v_hi, c_hi - c_lo, k - c_lo);
+                    }
+                    break;
+                }
+                // Never probe below 0: a negative probe admits `-0.0`.
+                (None, Some(_)) => v = (hint - delta).max(0.0),
+                (Some(_), None) if delta > 0.0 => v = hint + delta,
+                _ => break,
+            }
+        }
+    }
+    bisect(xs, k, lo, hi)
+}
+
+/// The cold search: bisection on the difference value inside `[lo, hi]`
+/// (achievable differences bracketing the answer), where each probe
+/// counts pairs at or under the probe in `O(n)` and simultaneously finds
+/// the largest achievable difference ≤ the probe and the smallest one
+/// above it — the bounds therefore land on achievable differences, so
+/// the loop terminates on the exact answer (no float-tolerance fuzz).
+fn bisect(xs: &[f64], k: usize, mut lo: f64, mut hi: f64) -> f64 {
     while lo < hi {
         let mid = lo + 0.5 * (hi - lo);
         if !(mid > lo && mid < hi) {
@@ -180,6 +251,8 @@ fn kth_smallest_pairwise_diff(xs: &[f64], k: usize) -> f64 {
 /// One two-pointer pass: `(pairs with xs[j]−xs[i] ≤ v, largest
 /// achievable difference ≤ v, smallest achievable difference > v)`.
 fn sweep(xs: &[f64], v: f64) -> (usize, f64, f64) {
+    #[cfg(test)]
+    tests::SWEEPS.with(|s| s.set(s.get() + 1));
     let n = xs.len();
     let mut count = 0usize;
     let mut below_max = f64::NEG_INFINITY;
@@ -200,6 +273,27 @@ fn sweep(xs: &[f64], v: f64) -> (usize, f64, f64) {
         }
     }
     (count, below_max, above_min)
+}
+
+/// One two-pointer pass collecting the `len` differences in
+/// `(v_lo, v_hi]`, then the `rank`-th smallest of them (1-based).
+fn select_in_band(xs: &[f64], v_lo: f64, v_hi: f64, len: usize, rank: usize) -> f64 {
+    #[cfg(test)]
+    tests::SWEEPS.with(|s| s.set(s.get() + 1));
+    let mut band = Vec::with_capacity(len);
+    let (mut i_hi, mut i_lo) = (0usize, 0usize);
+    for j in 1..xs.len() {
+        while i_hi < j && xs[j] - xs[i_hi] > v_hi {
+            i_hi += 1;
+        }
+        while i_lo < j && xs[j] - xs[i_lo] > v_lo {
+            i_lo += 1;
+        }
+        // As in `sweep`, `.abs()` canonicalises a `-0.0` difference.
+        band.extend(xs[i_hi..i_lo].iter().map(|&x| (xs[j] - x).abs()));
+    }
+    debug_assert_eq!(band.len(), len);
+    *band.select_nth_unstable_by(rank - 1, f64::total_cmp).1
 }
 
 impl Persist for QnWindow {
@@ -228,10 +322,21 @@ impl Persist for QnWindow {
         if sorted.windows(2).any(|w| !(w[0] <= w[1])) {
             return Err(PersistError::Corrupt("qn sorted buffer out of order"));
         }
+        // `push` evicts by arrival value, so a value in `sorted` that is
+        // not in `arrival` would never leave.
+        fn bits<'a>(vs: impl Iterator<Item = &'a f64>) -> Vec<u64> {
+            let mut b: Vec<u64> = vs.map(|v| v.to_bits()).collect();
+            b.sort_unstable();
+            b
+        }
+        if bits(arrival.iter()) != bits(sorted.iter()) {
+            return Err(PersistError::Corrupt("qn sorted buffer is not the window"));
+        }
         Ok(Self {
             capacity,
             arrival,
             sorted,
+            hint: Cell::new(f64::NAN),
         })
     }
 }
@@ -239,6 +344,15 @@ impl Persist for QnWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Two-pointer passes (`sweep` + `select_in_band`) on this thread.
+        pub(super) static SWEEPS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn sweeps() -> usize {
+        SWEEPS.with(Cell::get)
+    }
 
     /// The O(n²) reference: materialise, sort, index.
     fn offline_kth(xs: &[f64], k: usize) -> f64 {
@@ -259,20 +373,181 @@ mod tests {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let pairs = xs.len() * (xs.len() - 1) / 2;
         for k in 1..=pairs {
+            let want = offline_kth(&sorted, k).to_bits();
             assert_eq!(
-                kth_smallest_pairwise_diff(&sorted, k).to_bits(),
-                offline_kth(&sorted, k).to_bits(),
+                kth_smallest_pairwise_diff(&sorted, k, f64::NAN).to_bits(),
+                want,
                 "rank {k}"
             );
+            // Warm from every other rank's answer, and from off-grid hints.
+            for hint in (1..=pairs)
+                .map(|h| offline_kth(&sorted, h))
+                .chain([0.0, 0.07, 9.0])
+            {
+                assert_eq!(
+                    kth_smallest_pairwise_diff(&sorted, k, hint).to_bits(),
+                    want,
+                    "rank {k}, hint {hint}"
+                );
+            }
         }
     }
 
     #[test]
     fn duplicates_yield_zero_differences() {
         let sorted = [1.0, 1.0, 1.0, 2.0];
-        assert_eq!(kth_smallest_pairwise_diff(&sorted, 1), 0.0);
-        assert_eq!(kth_smallest_pairwise_diff(&sorted, 3), 0.0);
-        assert_eq!(kth_smallest_pairwise_diff(&sorted, 4), 1.0);
+        for hint in [f64::NAN, 0.0, 0.5, 1.0, 3.0] {
+            assert_eq!(kth_smallest_pairwise_diff(&sorted, 1, hint), 0.0);
+            assert_eq!(kth_smallest_pairwise_diff(&sorted, 3, hint), 0.0);
+            assert_eq!(kth_smallest_pairwise_diff(&sorted, 4, hint), 1.0);
+        }
+    }
+
+    #[test]
+    fn hint_above_the_new_range_after_the_spread_is_evicted() {
+        let mut w = QnWindow::new(8).unwrap();
+        for i in 0..8 {
+            w.push(100.0 * f64::from(i)).unwrap();
+        }
+        w.qn().unwrap();
+        let stale = w.hint.get();
+        for i in 0..8 {
+            w.push(0.5 + 0.01 * f64::from(i * i % 5)).unwrap();
+        }
+        let sorted = w.sorted.clone();
+        assert!(
+            stale > sorted[7] - sorted[0],
+            "hint {stale} inside the new range"
+        );
+        let cold = QnWindow::from_bytes(&w.to_bytes()).unwrap();
+        assert_eq!(w.qn().unwrap().to_bits(), cold.qn().unwrap().to_bits());
+        assert_eq!(w.hint.get().to_bits(), offline_kth(&sorted, 10).to_bits());
+    }
+
+    #[test]
+    fn all_equal_window_answers_positive_zero() {
+        let mut w = QnWindow::new(10).unwrap();
+        for x in [3.25; 10] {
+            w.push(x).unwrap();
+            if w.len() >= 2 {
+                assert_eq!(w.qn().unwrap().to_bits(), 0.0f64.to_bits());
+            }
+        }
+        // ±0.0 ties only: still +0.0, warm or cold.
+        for i in 0..10 {
+            w.push(if i % 2 == 0 { -0.0 } else { 0.0 }).unwrap();
+            assert_eq!(w.qn().unwrap().to_bits(), 0.0f64.to_bits());
+        }
+        // Leaving a zero answer (hint 0) for a spread window.
+        for i in 1..=10 {
+            w.push(f64::from(i * i)).unwrap();
+            let cold = QnWindow::from_bytes(&w.to_bytes()).unwrap();
+            assert_eq!(w.qn().unwrap().to_bits(), cold.qn().unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn a_band_over_4n_falls_back_to_bisection() {
+        // Distinct, evenly spread values and a hint far above the range:
+        // the downward probe lands on 0 and the bracket holds all 2016
+        // pairs, over 4n = 256.
+        let sorted: Vec<f64> = (0..64).map(|i| 0.37 * f64::from(i)).collect();
+        let k = 33 * 32 / 2;
+        let before = sweeps();
+        let warm = kth_smallest_pairwise_diff(&sorted, k, 1e6);
+        let used = sweeps() - before;
+        assert_eq!(warm.to_bits(), offline_kth(&sorted, k).to_bits());
+        assert!(
+            used > 3,
+            "{used} sweeps: the band was selected, not bisected"
+        );
+    }
+
+    #[test]
+    fn restored_twin_starts_cold_and_agrees_with_the_warm_one() {
+        let mut live = QnWindow::new(32).unwrap();
+        let value = |i: u32| f64::from((i * 37) % 23) * 0.5 - f64::from(i % 7);
+        for i in 0..50 {
+            live.push(value(i)).unwrap();
+            let _ = live.qn();
+        }
+        let mut restored = QnWindow::from_bytes(&live.to_bytes()).unwrap();
+        assert!(!live.hint.get().is_nan() && restored.hint.get().is_nan());
+        for i in 50..120 {
+            live.push(value(i)).unwrap();
+            restored.push(value(i)).unwrap();
+            assert_eq!(
+                live.qn().unwrap().to_bits(),
+                restored.qn().unwrap().to_bits()
+            );
+        }
+        assert_eq!(live, restored);
+    }
+
+    /// A stream shaped like the benchmark's `sim_fqn` input: a tight
+    /// level, 1 % exponential dips, 0.4 % spikes, a 48-reading failure
+    /// burst per 2048.
+    fn skewed_stream(len: usize) -> Vec<f64> {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..len)
+            .map(|seq| {
+                let normal = (0..12).map(|_| unit()).sum::<f64>() - 6.0;
+                let (dip, spike) = (unit(), unit());
+                if seq % 2048 >= 900 && seq % 2048 < 948 {
+                    0.12 + 0.01 * normal
+                } else if spike < 0.004 {
+                    0.43 + (unit() - 0.5) * 0.6
+                } else if dip < 0.01 {
+                    0.43 + 0.06 * (1.0 - unit()).ln()
+                } else {
+                    0.43 + 0.008 * normal
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warm_queries_average_at_most_four_sweeps() {
+        let mut w = QnWindow::new(512).unwrap();
+        let (mut queries, before) = (0usize, sweeps());
+        for x in skewed_stream(4096) {
+            if w.len() >= 64 {
+                w.qn().unwrap();
+                queries += 1;
+            }
+            w.push(x).unwrap();
+        }
+        let per_query = (sweeps() - before) as f64 / queries as f64;
+        assert!(per_query <= 4.0, "{per_query:.2} sweeps per query");
+    }
+
+    #[test]
+    fn load_rejects_a_sorted_buffer_that_is_not_the_window() {
+        let mut w = QnWindow::new(4).unwrap();
+        for x in [1.0, 2.0, 3.0, 4.0] {
+            w.push(x).unwrap();
+        }
+        for last in [f64::INFINITY, 40.0] {
+            let mut bad = w.clone();
+            bad.sorted[3] = last;
+            assert_eq!(
+                QnWindow::from_bytes(&bad.to_bytes()),
+                Err(PersistError::Corrupt("qn sorted buffer is not the window")),
+                "sorted ending in {last} loaded"
+            );
+        }
+        // A ±0.0 swap is a different bit pattern, so also not the window.
+        let mut z = QnWindow::new(2).unwrap();
+        z.push(0.0).unwrap();
+        z.push(0.0).unwrap();
+        z.sorted[0] = -0.0;
+        assert!(QnWindow::from_bytes(&z.to_bytes()).is_err());
     }
 
     #[test]

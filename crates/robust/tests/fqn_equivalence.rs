@@ -5,7 +5,10 @@
 //! offline reference materialises all C(n,2) pairwise differences,
 //! sorts them and indexes the k-th: any drift in the incremental sorted
 //! buffer or any off-by-one in the bisection shows up as a bit
-//! mismatch.
+//! mismatch. At the window sizes the detectors use (64–600), where the
+//! O(n² log n) reference is too slow, the warm-started query is pinned
+//! against the hint-free search instead: a `from_bytes(to_bytes())`
+//! twin starts with no hint, so its query is the cold bisection.
 
 use proptest::prelude::*;
 
@@ -72,6 +75,33 @@ fn stream_values() -> impl Strategy<Value = Vec<f64>> {
         }),
         2..160,
     )
+}
+
+/// Long streams in the four shapes the warm start must survive: a
+/// drifting level, five heavily tied values, ±0.0 mixed into a tight
+/// cluster, and a tight level broken by wide bursts.
+fn shaped_stream(shape: u32, seed: u64, len: usize) -> Vec<f64> {
+    let mut state = seed | 1;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..len)
+        .map(|i| {
+            let u = unit();
+            match shape {
+                0 => 0.01 * i as f64 + u,
+                1 => [0.0, 1.0, 1.0, 2.5, 7.0][(u * 5.0) as usize],
+                2 if u < 0.3 => 0.0,
+                2 if u < 0.6 => -0.0,
+                2 => 1e-3 * (u - 0.6),
+                _ if (i / 50) % 4 == 3 => 100.0 * u - 50.0,
+                _ => 0.43 + 0.01 * u,
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -146,6 +176,35 @@ proptest! {
         if win.len() >= 2 {
             let expected = (probe - win.median().unwrap()).abs() > k * win.qn().unwrap();
             prop_assert_eq!(win.is_outlier(probe, k), Some(expected));
+        }
+    }
+}
+
+proptest! {
+    // Each case runs one cold search per push over a detector-sized
+    // window; 24 cases keep the suite under 5 s in a debug build.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Detector-sized windows through full turnover: after every push
+    /// the warm-started Q_n equals, bit for bit, the cold search of a
+    /// restored twin (no hint) on the same window.
+    #[test]
+    fn warm_qn_equals_the_hint_free_search(
+        capacity in 64usize..600,
+        shape in 0u32..4,
+        seed in 0u64..u64::MAX,
+        extra in 50usize..300,
+    ) {
+        use snod_persist::Persist;
+        let mut win = QnWindow::new(capacity).unwrap();
+        for x in shaped_stream(shape, seed, capacity + extra) {
+            win.push(x).unwrap();
+            let cold = QnWindow::from_bytes(&win.to_bytes()).unwrap();
+            prop_assert_eq!(
+                win.qn().map(f64::to_bits),
+                cold.qn().map(f64::to_bits),
+                "shape {} at fill {}", shape, win.len()
+            );
         }
     }
 }

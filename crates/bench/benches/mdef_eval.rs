@@ -38,25 +38,6 @@ fn bench_vs_sample_size(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_aloci_tree(c: &mut Criterion) {
-    use snod_outlier::{AlociTree, AlociTreeConfig};
-    let mut tree = AlociTree::new(1, AlociTreeConfig::default()).unwrap();
-    for i in 0..10_000u64 {
-        tree.insert(&[((i * 48_271) % 10_007) as f64 / 10_007.0]);
-    }
-    c.bench_function("aloci_tree_insert_remove", |b| {
-        let mut x = 0.123f64;
-        b.iter(|| {
-            x = (x * 997.0 + 0.123).fract();
-            tree.insert(black_box(&[x]));
-            tree.remove(black_box(&[x]));
-        })
-    });
-    c.bench_function("aloci_tree_evaluate", |b| {
-        b.iter(|| tree.evaluate(black_box(&[0.5]), false))
-    });
-}
-
 fn bench_exact_window(c: &mut Criterion) {
     use snod_outlier::{DistanceOutlierConfig, ExactWindowDetector};
     let rule = DistanceOutlierConfig::new(45.0, 0.01);
@@ -84,7 +65,6 @@ criterion_group! {
     config = quick_config();
     targets = bench_vs_counting_radius,
     bench_vs_sample_size,
-    bench_aloci_tree,
     bench_exact_window
 }
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use snod_sketch::{ChainSampler, ExpHistogram, GkSketch, WindowedVariance};
+use snod_sketch::{ChainSampler, ExpHistogram, WindowedVariance};
 
 fn bench_chain_sampler(c: &mut Criterion) {
     let mut group = c.benchmark_group("chain_sampler_push");
@@ -60,36 +60,6 @@ fn bench_exp_histogram(c: &mut Criterion) {
     });
 }
 
-fn bench_gk(c: &mut Criterion) {
-    c.bench_function("gk_insert", |b| {
-        let mut gk = GkSketch::new(0.01).unwrap();
-        let mut x = 0.0f64;
-        b.iter(|| {
-            x = (x * 997.0 + 0.123).fract();
-            gk.insert(black_box(x));
-        });
-    });
-}
-
-fn bench_windowed_quantile(c: &mut Criterion) {
-    c.bench_function("windowed_quantile_push", |b| {
-        let mut wq = snod_sketch::WindowedQuantile::new(10_000, 10, 0.02).unwrap();
-        let mut x = 0.0f64;
-        b.iter(|| {
-            x = (x * 997.0 + 0.123).fract();
-            wq.push(black_box(x));
-        });
-    });
-    c.bench_function("windowed_quantile_median", |b| {
-        let mut wq = snod_sketch::WindowedQuantile::new(10_000, 10, 0.02).unwrap();
-        for i in 0..20_000u64 {
-            wq.push(((i * 48_271) % 10_007) as f64);
-        }
-        b.iter(|| wq.median().unwrap());
-    });
-}
-
-
 /// Short measurement windows: these benches check complexity *shape*
 /// (linear vs flat), not absolute timings.
 fn quick_config() -> Criterion {
@@ -104,8 +74,6 @@ criterion_group! {
     config = quick_config();
     targets = bench_chain_sampler,
     bench_variance,
-    bench_exp_histogram,
-    bench_gk,
-    bench_windowed_quantile
+    bench_exp_histogram
 }
 criterion_main!(benches);

@@ -14,7 +14,7 @@
 //!    periodically rebuilt — deliberately favoured, as in the paper),
 //! 5. scores precision and recall per `(algorithm, estimator, level)`.
 //!
-//! Runs are farmed out to threads with `crossbeam`; results are pooled
+//! Runs are farmed out to scoped threads; results are pooled
 //! micro-averages over runs, as in the paper's 12-run averages.
 
 use std::collections::HashMap;
@@ -154,19 +154,18 @@ where
     S: DataStream + Send + 'static,
 {
     let mut total = AccuracyResults::default();
-    let results: Vec<AccuracyResults> = crossbeam::thread::scope(|scope| {
+    let results: Vec<AccuracyResults> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.runs)
             .map(|run| {
                 let make_stream = &make_stream;
-                scope.spawn(move |_| single_run(cfg, run, make_stream))
+                scope.spawn(move || single_run(cfg, run, make_stream))
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("run panicked"))
             .collect()
-    })
-    .expect("scope");
+    });
     for r in results {
         total.merge(r);
     }

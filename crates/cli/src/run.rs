@@ -87,7 +87,9 @@ pub fn detect(args: &DetectArgs, out: &mut dyn Write) -> Result<(u64, u64), CliE
                 }
             }
         }
-        est.observe(&v).expect("dimensionality fixed by CSV check");
+        // The CSV check fixes the dimensionality, so only a non-finite
+        // reading fails here; it is dropped, as the detectors drop it.
+        let _ = est.observe(&v);
         Ok(())
     })?;
     if let Some(e) = io_error {

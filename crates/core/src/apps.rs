@@ -1,12 +1,9 @@
 //! The Section 9 applications of the estimation framework.
 //!
 //! *"An accurate online approximation of the probability density function
-//! allows us to solve a number of problems in a sensor network."* Three
+//! allows us to solve a number of problems in a sensor network."* Two
 //! of them are implemented here:
 //!
-//! * [`estimate_range_count`] / [`estimate_range_mean`] — online
-//!   (spatio-temporal) range queries: *"What is the average temperature
-//!   in region (X, Y) during the time interval [t₁, t₂]?"*
 //! * [`detect_faulty_sensors`] — *"a parent sensor can compute the
 //!   difference between the estimator models received from its children,
 //!   to determine if any of them is faulty"*, using the JS-divergence of
@@ -21,56 +18,6 @@ use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
 use snod_sketch::ExpHistogram;
 
 use crate::config::CoreError;
-
-/// Estimated number of window readings inside the box `[lo, hi]`
-/// (Equation 4 generalised to an arbitrary box).
-pub fn estimate_range_count<M: DensityModel + ?Sized>(
-    model: &M,
-    lo: &[f64],
-    hi: &[f64],
-) -> Result<f64, CoreError> {
-    Ok(model.box_prob(lo, hi)? * model.window_len())
-}
-
-/// Estimated mean of the readings inside the box `[lo, hi]`, computed by
-/// integrating the model over a `grid_k`-cell discretisation of the box.
-/// Returns `None` when the box has (estimated) zero mass.
-pub fn estimate_range_mean<M: DensityModel + ?Sized>(
-    model: &M,
-    lo: &[f64],
-    hi: &[f64],
-    grid_k: usize,
-) -> Result<Option<Vec<f64>>, CoreError> {
-    let d = model.dims();
-    if lo.len() != d || hi.len() != d || grid_k == 0 {
-        return Err(CoreError::Config("mean query box/grid malformed"));
-    }
-    let mut mass_total = 0.0;
-    let mut weighted = vec![0.0; d];
-    // Iterate the k^d sub-cells of the query box.
-    let total = grid_k.pow(d as u32);
-    let mut cell_lo = vec![0.0; d];
-    let mut cell_hi = vec![0.0; d];
-    for flat in 0..total {
-        let mut rem = flat;
-        for j in (0..d).rev() {
-            let idx = rem % grid_k;
-            rem /= grid_k;
-            let w = (hi[j] - lo[j]) / grid_k as f64;
-            cell_lo[j] = lo[j] + idx as f64 * w;
-            cell_hi[j] = cell_lo[j] + w;
-        }
-        let mass = model.box_prob(&cell_lo, &cell_hi)?;
-        mass_total += mass;
-        for j in 0..d {
-            weighted[j] += mass * 0.5 * (cell_lo[j] + cell_hi[j]);
-        }
-    }
-    if mass_total <= f64::EPSILON {
-        return Ok(None);
-    }
-    Ok(Some(weighted.into_iter().map(|w| w / mass_total).collect()))
-}
 
 /// Flags children whose estimator model diverges from their siblings.
 ///
@@ -177,32 +124,6 @@ mod tests {
     fn model_at(center: f64, n: usize) -> Kde1d {
         let xs: Vec<f64> = (0..n).map(|i| center + 0.002 * ((i % 25) as f64)).collect();
         Kde1d::from_sample(&xs, 0.02, 1_000.0).unwrap()
-    }
-
-    #[test]
-    fn range_count_matches_model_mass() {
-        let m = model_at(0.5, 100);
-        let inside = estimate_range_count(&m, &[0.4], &[0.6]).unwrap();
-        let outside = estimate_range_count(&m, &[0.8], &[0.9]).unwrap();
-        assert!(inside > 900.0, "inside {inside}");
-        assert!(outside < 10.0, "outside {outside}");
-    }
-
-    #[test]
-    fn range_mean_recovers_cluster_position() {
-        let m = model_at(0.5, 200);
-        let mean = estimate_range_mean(&m, &[0.0], &[1.0], 64)
-            .unwrap()
-            .expect("non-zero mass");
-        assert!((mean[0] - 0.525).abs() < 0.02, "mean {mean:?}");
-    }
-
-    #[test]
-    fn range_mean_of_empty_region_is_none() {
-        let m = model_at(0.2, 100);
-        assert!(estimate_range_mean(&m, &[0.8], &[0.9], 16)
-            .unwrap()
-            .is_none());
     }
 
     #[test]

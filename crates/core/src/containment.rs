@@ -499,6 +499,49 @@ mod tests {
         assert!(run_backend(&B::invalid(), topo, SimConfig::default(), &mut source, 10).is_err());
     }
 
+    /// One `+∞` used to make σ infinite and one `NaN` made it read 0,
+    /// each flagging every following reading of the leaf for a window.
+    /// Both are now dropped at the estimator: a leaf fed the clean
+    /// uniform stream with the two inserted flags exactly the values the
+    /// clean run flags.
+    #[test]
+    fn non_finite_readings_do_not_blind_a_d3_leaf() {
+        const INJECT_AT: u64 = 2_000;
+        let backend = D3Backend(D3Config {
+            estimator: EstimatorConfig::builder()
+                .window(2_000)
+                .sample_size(100)
+                .seed(7)
+                .build()
+                .unwrap(),
+            rule: DistanceOutlierConfig::new(20.0, 0.01),
+            sample_fraction: 0.5,
+        });
+        let leaf0_flags = |poisoned: bool, readings: u64| {
+            let mut streams: Vec<SeededRng> = (0..2).map(SeededRng::seed_from_u64).collect();
+            let mut source = move |node: NodeId, seq: u64| {
+                let injected = match seq.wrapping_sub(INJECT_AT) {
+                    0 => Some(f64::INFINITY),
+                    1 => Some(f64::NAN),
+                    _ => None,
+                };
+                Some(vec![match injected {
+                    Some(bad) if poisoned && node.0 == 0 => bad,
+                    _ => streams[node.0 as usize].gen::<f64>(),
+                }])
+            };
+            let topo = Hierarchy::balanced(2, &[2]).unwrap();
+            let net =
+                run_backend(&backend, topo, SimConfig::default(), &mut source, readings).unwrap();
+            D3Backend::detections(net.app(NodeId(0)))
+                .iter()
+                .map(|d| d.value.clone())
+                .collect::<Vec<_>>()
+        };
+        let clean = leaf0_flags(false, 2 * INJECT_AT);
+        assert_eq!(leaf0_flags(true, 2 * INJECT_AT + 2), clean);
+    }
+
     macro_rules! battery {
         ($($case:ident),* $(,)?) => {
             mod distance_rule {

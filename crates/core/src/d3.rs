@@ -52,8 +52,8 @@ impl LeafRule for DistanceRule {
 
     /// Forwardable when the chain sample accepted the value. A reading
     /// whose dimensionality does not match the configuration (a miswired
-    /// stream source) is dropped and counted instead of panicking
-    /// mid-simulation.
+    /// stream source) or that is not finite is dropped and counted
+    /// instead of panicking mid-simulation or poisoning σ.
     fn admit(&mut self, value: &[f64]) -> Option<bool> {
         let accepted = self.est.observe(value);
         if accepted.is_err() {

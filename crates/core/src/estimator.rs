@@ -223,12 +223,19 @@ impl SensorEstimator {
     /// Feeds one reading. Returns `true` when the chain sample accepted
     /// it (D3/MGDD forward the value upward, with probability `f`,
     /// exactly in that case).
+    ///
+    /// A mis-dimensioned or non-finite reading is rejected before it
+    /// touches any state: one `±∞` would make σ infinite and one `NaN`
+    /// would read as σ = 0 for a whole window.
     pub fn observe(&mut self, value: &[f64]) -> Result<bool, CoreError> {
         if value.len() != self.cfg.dimensions {
             return Err(CoreError::Density(DensityError::DimensionMismatch {
                 expected: self.cfg.dimensions,
                 got: value.len(),
             }));
+        }
+        if value.iter().any(|v| !v.is_finite()) {
+            return Err(CoreError::Density(DensityError::NonFiniteValue("reading")));
         }
         self.observed += 1;
         for (v, wv) in value.iter().zip(self.variances.iter_mut()) {
@@ -548,6 +555,26 @@ mod tests {
     fn dimension_mismatch_is_rejected() {
         let mut est = SensorEstimator::new(leaf_config());
         assert!(est.observe(&[0.5, 0.5]).is_err());
+    }
+
+    #[test]
+    fn non_finite_readings_leave_no_trace() {
+        let mut est = SensorEstimator::new(leaf_config());
+        let mut twin = SensorEstimator::new(leaf_config());
+        for i in 0..1_200 {
+            let v = [0.4 + 0.01 * ((i % 10) as f64)];
+            est.observe(&v).unwrap();
+            twin.observe(&v).unwrap();
+            if i == 600 {
+                for bad in [f64::INFINITY, f64::NAN] {
+                    assert!(matches!(
+                        est.observe(&[bad]),
+                        Err(CoreError::Density(DensityError::NonFiniteValue("reading")))
+                    ));
+                }
+            }
+        }
+        assert_eq!(est.to_bytes(), twin.to_bytes());
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //! * [`CentralizedNode`] / [`run_centralized`] — the baseline that ships
 //!   every reading to the top-level leader (Section 8.1's comparison
 //!   point and the upper curve of Figure 11).
-//! * [`apps`] — the Section 9 applications: online range queries, faulty
-//!   sensor detection via model divergence, and windowed outlier-count
-//!   alarms.
+//! * [`apps`] — the Section 9 applications: faulty sensor detection via
+//!   model divergence and windowed outlier-count alarms.
 //!
 //! The [`pipeline`] module offers a one-call API over all of the above
 //! for downstream users who just want "outliers out of my sensor
@@ -53,7 +52,6 @@ mod monitor;
 pub mod pipeline;
 mod replica;
 mod shift;
-mod timeslice;
 
 pub use backend::{
     build_backend_live, build_backend_network, run_backend, run_backend_with_faults, BackendKind,
@@ -76,4 +74,3 @@ pub use monitor::{
 };
 pub use replica::IncrementalReplica;
 pub use shift::{MmdewNode, MmdewNodeConfig, MmdewPayload};
-pub use timeslice::TimeSlicedEstimator;

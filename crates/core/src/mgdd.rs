@@ -160,8 +160,9 @@ impl MgddNode {
     /// Handles a value entering this node's estimator (a reading at a
     /// leaf, a forwarded sample value at a leader).
     fn absorb(&mut self, ctx: &mut Ctx<'_, MgddPayload>, value: &[f64]) {
-        // A mis-dimensioned value (miswired source or a peer on a
-        // different configuration) is dropped and counted, not fatal.
+        // A mis-dimensioned or non-finite value (miswired source, a
+        // broken sensor, a peer on a different configuration) is
+        // dropped and counted, not fatal.
         let Ok(accepted) = self.est.observe(value) else {
             snod_obs::counter!("core.bad_readings").incr();
             return;

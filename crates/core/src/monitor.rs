@@ -282,8 +282,8 @@ impl MonitorNode {
 
 impl DetectorEngine<ModelReport> for MonitorNode {
     fn ingest(&mut self, ctx: &mut Ctx<'_, ModelReport>, value: &[f64]) {
-        // A reading of the wrong dimensionality is dropped and counted
-        // rather than panicking the whole simulation.
+        // A reading of the wrong dimensionality or a non-finite one is
+        // dropped and counted rather than panicking the whole simulation.
         if self.est.observe(value).is_err() {
             snod_obs::counter!("core.bad_readings").incr();
             return;

@@ -75,8 +75,8 @@ pub enum DensityError {
     NonPositiveParameter(&'static str),
     /// The flattened sample length was not a multiple of the dimensionality.
     RaggedSample,
-    /// A value that must be a real number (e.g. a kernel centre handed to
-    /// an incremental update) was NaN.
+    /// A value that must be a real number was NaN (a kernel centre handed
+    /// to an incremental update) or not finite (a sensor reading).
     NonFiniteValue(&'static str),
 }
 
@@ -94,7 +94,7 @@ impl std::fmt::Display for DensityError {
                     "flattened sample length must be a multiple of the dimensionality"
                 )
             }
-            DensityError::NonFiniteValue(p) => write!(f, "{p} must not be NaN"),
+            DensityError::NonFiniteValue(p) => write!(f, "{p} must be a finite number"),
         }
     }
 }

@@ -40,14 +40,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aloci_tree;
 pub mod brute_force;
 pub mod distance;
 pub mod exact;
 pub mod mdef;
 pub mod metrics;
 
-pub use aloci_tree::{AlociTree, AlociTreeConfig, LevelVerdict};
 pub use exact::ExactWindowDetector;
 
 pub use distance::{DistanceOutlierConfig, DistanceOutlierDetector};

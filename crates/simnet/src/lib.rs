@@ -93,13 +93,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod aggregate;
-mod election;
 mod network;
 
 pub use snod_engine::fault;
 
-pub use aggregate::{Aggregate, PartialState, TagNode, TagPayload};
 pub use network::Network;
 pub use snod_engine::fault::{
     BurstLoss, CrashWindow, DropoutWindow, FaultPlan, LinkFault, RestartPolicy, RetryPolicy,
@@ -110,8 +107,6 @@ pub use snod_engine::{
     SimError, StreamSource, TraceRecorder, VirtualClock, Wire, ACK_BYTES, HEADER_BYTES,
     MSG_ID_BYTES,
 };
-
-pub use election::{ElectionPolicy, Electorate, LeaderAssignment};
 
 /// The historic name of [`EngineCtx`], kept so downstream code reads
 /// naturally in either vocabulary.

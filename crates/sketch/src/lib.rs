@@ -17,9 +17,6 @@
 //!   its actual memory so that the §10.3 experiment can be reproduced.
 //! * [`ExpHistogram`] — DGIM exponential histogram for ε-approximate counts
 //!   over a sliding window (building block and baseline).
-//! * [`GkSketch`] — Greenwald–Khanna ε-approximate quantiles, used by the
-//!   equi-depth histogram baseline and for order-statistics queries
-//!   (the paper's reference 19, Greenwald & Khanna PODS 2004).
 //! * [`SlidingWindow`] — an exact ring-buffer window, used by the offline
 //!   brute-force baselines and as ground truth in tests.
 //! * [`StreamingMoments`] / [`DatasetStats`] — first-moment summaries
@@ -33,21 +30,15 @@
 
 mod chain_sample;
 mod exp_histogram;
-mod gk;
 mod moments;
-mod reservoir;
 mod variance;
 mod window;
-mod windowed_quantile;
 
 pub use chain_sample::ChainSampler;
 pub use exp_histogram::ExpHistogram;
-pub use gk::GkSketch;
 pub use moments::{DatasetStats, StreamingMoments};
-pub use reservoir::ReservoirSampler;
 pub use variance::WindowedVariance;
 pub use window::SlidingWindow;
-pub use windowed_quantile::WindowedQuantile;
 
 /// Errors produced by sketch construction.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,19 +1,16 @@
-//! Resilience: lossy radios, node failures, and leader rotation.
+//! Resilience: lossy radios and node failures.
 //!
 //! The paper's setting is *"unattended environments over extended periods
 //! of time"* (§1) — radios drop frames and sensors die. This example runs
 //! D3 under a 10 % message-loss radio, kills a leader mid-run, and shows
-//! (a) detection degrading gracefully instead of stopping, and (b) the
-//! energy-aware leader rotation of `snod_simnet::Electorate` spreading
-//! the leadership cost across a cell (the protocol family the paper's
-//! Section 2 defers to).
+//! detection degrading gracefully instead of stopping.
 //!
 //! Run with: `cargo run --release --example resilient_network`
 
 use sensor_outliers::core::{D3Config, D3Node, EstimatorConfig};
 use sensor_outliers::data::{GaussianMixtureStream, SensorStreams};
 use sensor_outliers::outlier::DistanceOutlierConfig;
-use sensor_outliers::simnet::{ElectionPolicy, Electorate, Hierarchy, Network, NodeId, SimConfig};
+use sensor_outliers::simnet::{Hierarchy, Network, NodeId, SimConfig};
 
 fn main() {
     let topo = Hierarchy::balanced(16, &[4, 4]).unwrap();
@@ -28,7 +25,6 @@ fn main() {
         sample_fraction: 0.5,
     };
 
-    // --- Part 1: detection under a lossy radio with a dying leader ----
     let sim = SimConfig::default().with_drop_probability(0.10);
     let mut net = Network::new(topo.clone(), sim, |node, topo| {
         D3Node::new(node, topo, &cfg)
@@ -64,34 +60,8 @@ fn main() {
         .sum();
     println!("detections: {leaf_hits} at leaves, {leader_hits} confirmed at live leaders");
     println!(
-        "dead leader {doomed} confirmed {} before failing\n",
+        "dead leader {doomed} confirmed {} before failing",
         net.app(doomed).detections.len()
     );
     assert!(leaf_hits > 0, "leaves must keep detecting under loss");
-
-    // --- Part 2: energy-aware leader rotation --------------------------
-    println!("leader rotation (MaxEnergy policy) over 30 epochs:");
-    let mut electorate = Electorate::new(topo.clone(), ElectionPolicy::MaxEnergy, 50.0);
-    let slot = topo.level(2)[0];
-    let mut terms: std::collections::HashMap<NodeId, u32> = Default::default();
-    for _ in 0..30 {
-        let assignment = electorate.elect();
-        let leader = assignment.physical(slot);
-        *terms.entry(leader).or_default() += 1;
-        // Leading one epoch costs ~1 J of extra radio work.
-        electorate.charge(&assignment, slot, 1.0);
-    }
-    let mut terms: Vec<_> = terms.into_iter().collect();
-    terms.sort();
-    for (node, n) in &terms {
-        println!(
-            "  sensor {node}: led {n} epochs, {:.0} J left",
-            electorate.remaining(*node)
-        );
-    }
-    let max_terms = terms.iter().map(|(_, n)| *n).max().unwrap();
-    let min_terms = terms.iter().map(|(_, n)| *n).min().unwrap();
-    println!(
-        "\nleadership spread: every cell member led {min_terms}–{max_terms} epochs (balanced)."
-    );
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`sketch`] — streaming summaries per sensor: chain sampling over
 //!   sliding windows, ε-approximate windowed variance, exponential
-//!   histograms, GK quantiles.
+//!   histograms.
 //! * [`density`] — the non-parametric distribution-approximation
 //!   framework: Epanechnikov kernel density estimators, range queries
 //!   `N(p, r)`, histograms, Jensen–Shannon divergence.
@@ -34,14 +34,9 @@
 //!   and Pacific-Northwest environmental datasets.
 //!
 //! Beyond the paper's letter the workspace also provides the substrates
-//! and extensions it points at: TAG-style in-network aggregation
-//! ([`simnet::TagNode`]), leader election and rotation
-//! ([`simnet::Electorate`]), radio loss and node-failure injection
-//! ([`simnet::SimConfig`]), the full multi-granularity aLOCI
-//! ([`outlier::AlociTree`]), a Haar-wavelet synopsis baseline
-//! ([`density::WaveletHistogram`]), sliding-window quantiles
-//! ([`sketch::WindowedQuantile`]), spatio-temporal range queries
-//! ([`core::TimeSlicedEstimator`]), the distributed faulty-sensor
+//! its evaluation needs: radio loss and node-failure injection
+//! ([`simnet::SimConfig`]), a Haar-wavelet synopsis baseline
+//! ([`density::WaveletHistogram`]), the distributed faulty-sensor
 //! monitor ([`core::run_monitor`]), and an exact grid-indexed window
 //! detector ([`outlier::ExactWindowDetector`]).
 //!

@@ -1,7 +1,7 @@
 //! Snapshot/restore round-trip properties (proptest): for every sketch
 //! and density model, `to_bytes` → `from_bytes` → an arbitrary suffix
 //! stream must leave the restored instance answering **every** query —
-//! variance, quantile, density, range probability, neighborhood counts —
+//! variance, Q_n scale, density, range probability, neighborhood counts —
 //! bit-identically to a twin that was never snapshotted. A restored
 //! sketch is not "approximately equal": its internal RNG position,
 //! bucket boundaries and eviction clocks must all survive, or the
@@ -14,10 +14,7 @@ use sensor_outliers::density::{
 };
 use sensor_outliers::persist::Persist;
 use sensor_outliers::robust::{Mmdew, MmdewConfig, QnWindow};
-use sensor_outliers::sketch::{
-    ChainSampler, ExpHistogram, GkSketch, ReservoirSampler, SlidingWindow, WindowedQuantile,
-    WindowedVariance,
-};
+use sensor_outliers::sketch::{ChainSampler, ExpHistogram, SlidingWindow, WindowedVariance};
 
 fn unit_values(max: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..1.0, 8..max)
@@ -102,54 +99,6 @@ proptest! {
         prop_assert_eq!(live.stream_len(), restored.stream_len());
     }
 
-    /// GK quantile sketch: every quantile and the equi-depth partition
-    /// stay bit-identical (compressions included).
-    #[test]
-    fn gk_sketch_round_trips(
-        prefix in unit_values(300),
-        suffix in unit_values(300),
-    ) {
-        let mut live = GkSketch::new(0.05).unwrap();
-        for &v in &prefix {
-            live.insert(v);
-        }
-        let mut restored = round_trip(&live);
-        for &v in &suffix {
-            live.insert(v);
-            restored.insert(v);
-        }
-        for phi in [0.01, 0.25, 0.5, 0.75, 0.99] {
-            prop_assert_eq!(
-                live.quantile(phi).map(f64::to_bits),
-                restored.quantile(phi).map(f64::to_bits)
-            );
-        }
-        prop_assert_eq!(live.equi_depth_boundaries(8), restored.equi_depth_boundaries(8));
-        prop_assert_eq!(live.tuple_count(), restored.tuple_count());
-    }
-
-    /// Reservoir sampler: the kept sample and the future replacement
-    /// decisions (RNG position) survive.
-    #[test]
-    fn reservoir_round_trips(
-        prefix in unit_values(300),
-        suffix in unit_values(300),
-        seed in 0u64..1_000,
-    ) {
-        let mut live = ReservoirSampler::new(16, seed).unwrap();
-        for &v in &prefix {
-            live.push(v.to_bits());
-        }
-        let mut restored = round_trip(&live);
-        prop_assert_eq!(live.sample(), restored.sample());
-        for &v in &suffix {
-            live.push(v.to_bits());
-            restored.push(v.to_bits());
-        }
-        prop_assert_eq!(live.sample(), restored.sample());
-        prop_assert_eq!(live.stream_len(), restored.stream_len());
-    }
-
     /// Sliding window: contents, order and eviction clock survive.
     #[test]
     fn sliding_window_round_trips(
@@ -167,33 +116,6 @@ proptest! {
         }
         prop_assert_eq!(live.to_vec(), restored.to_vec());
         prop_assert_eq!(live.stream_len(), restored.stream_len());
-    }
-
-    /// Windowed quantile: φ-quantiles, the median and block rotation
-    /// survive an arbitrary suffix.
-    #[test]
-    fn windowed_quantile_round_trips(
-        prefix in unit_values(300),
-        suffix in unit_values(300),
-    ) {
-        let mut live = WindowedQuantile::new(128, 4, 0.05).unwrap();
-        for &v in &prefix {
-            live.push(v);
-        }
-        let mut restored = round_trip(&live);
-        for &v in &suffix {
-            live.push(v);
-            restored.push(v);
-        }
-        for phi in [0.1, 0.5, 0.9] {
-            prop_assert_eq!(
-                live.quantile(phi).map(f64::to_bits),
-                restored.quantile(phi).map(f64::to_bits)
-            );
-        }
-        prop_assert_eq!(live.median().map(f64::to_bits), restored.median().map(f64::to_bits));
-        prop_assert_eq!(live.covered(), restored.covered());
-        prop_assert_eq!(live.tuple_count(), restored.tuple_count());
     }
 
     /// Multi-dimensional KDE: pdf, box mass, range probability and the

@@ -7,7 +7,7 @@ use sensor_outliers::density::{
 };
 use sensor_outliers::outlier::brute_force::{distance_outliers, linf_distance};
 use sensor_outliers::outlier::DistanceOutlierConfig;
-use sensor_outliers::sketch::{ChainSampler, GkSketch, SlidingWindow, WindowedVariance};
+use sensor_outliers::sketch::{ChainSampler, SlidingWindow, WindowedVariance};
 
 fn unit_values(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..1.0, 2..n)
@@ -53,27 +53,6 @@ proptest! {
             (est - truth).abs() <= 0.5 * truth + 1e-6,
             "est {est} truth {truth}"
         );
-    }
-
-    /// GK quantiles respect the rank-error guarantee.
-    #[test]
-    fn gk_quantiles_have_bounded_rank_error(values in unit_values(500)) {
-        let eps = 0.05;
-        let mut gk = GkSketch::new(eps).unwrap();
-        for &v in &values {
-            gk.insert(v);
-        }
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for phi in [0.25f64, 0.5, 0.75] {
-            let q = gk.quantile(phi).unwrap();
-            let rank = sorted.iter().filter(|&&x| x <= q).count() as f64;
-            let target = phi * sorted.len() as f64;
-            prop_assert!(
-                (rank - target).abs() <= 2.0 * eps * sorted.len() as f64 + 1.0,
-                "phi {phi}: rank {rank}, target {target}"
-            );
-        }
     }
 
     /// KDE box probabilities are monotone in the box and live in [0, 1];
@@ -153,51 +132,4 @@ proptest! {
         prop_assert!(w.pdf(&[0.3]).unwrap() >= 0.0);
     }
 
-    /// The aLOCI forest's insert/remove are exact inverses, and its
-    /// verdicts are deterministic.
-    #[test]
-    fn aloci_tree_state_roundtrip(points in unit_values(120), probe in 0.0f64..1.0) {
-        use sensor_outliers::outlier::{AlociTree, AlociTreeConfig};
-        let mut t = AlociTree::new(1, AlociTreeConfig::default()).unwrap();
-        for &x in &points {
-            t.insert(&[x]);
-        }
-        let verdict = t.is_outlier(&[probe], false);
-        prop_assert_eq!(t.is_outlier(&[probe], false), verdict, "non-deterministic");
-        let cells = t.cell_count();
-        for &x in &points {
-            t.remove(&[x]);
-        }
-        prop_assert_eq!(t.cell_count(), 0, "cells left after full removal");
-        for &x in &points {
-            t.insert(&[x]);
-        }
-        prop_assert_eq!(t.cell_count(), cells);
-        prop_assert_eq!(t.is_outlier(&[probe], false), verdict);
-    }
-
-    /// Time-sliced range counts over all retained epochs account for
-    /// every retained reading (±KDE boundary spill).
-    #[test]
-    fn timeslice_counts_conserve_mass(values in unit_values(400)) {
-        use sensor_outliers::core::{EstimatorConfig, TimeSlicedEstimator};
-        prop_assume!(values.len() >= 100);
-        let cfg = EstimatorConfig::builder()
-            .window(100)
-            .sample_size(40)
-            .seed(6)
-            .build()
-            .unwrap();
-        let mut ts = TimeSlicedEstimator::new(cfg, 100, 8).unwrap();
-        for &x in &values {
-            ts.observe(&[x]).unwrap();
-        }
-        let (from, to) = ts.retained_epochs().unwrap();
-        let counted = ts.range_count(&[-1.0], &[2.0], from, to).unwrap();
-        let retained = values.len().min(8 * 100 + values.len() % 100);
-        prop_assert!(
-            (counted - retained as f64).abs() < 1.0,
-            "counted {counted}, retained {retained}"
-        );
-    }
 }

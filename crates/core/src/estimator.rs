@@ -271,8 +271,12 @@ impl SensorEstimator {
         if self.observed == 0 {
             return Err(CoreError::NoData);
         }
+        self.build_model(&self.sigmas())
+    }
+
+    /// The model of the current sample with bandwidths from `sigmas`.
+    fn build_model(&self, sigmas: &[f64]) -> Result<SensorModel, CoreError> {
         let sample = self.sampler.sample();
-        let sigmas = self.sigmas();
         let window_len = self.window_len().max(1.0);
         let mut model = if self.cfg.dimensions == 1 {
             SensorModel::One(
@@ -281,7 +285,7 @@ impl SensorEstimator {
             )
         } else {
             SensorModel::Multi(
-                Kde::from_sample_iter(sample.iter().map(Vec::as_slice), &sigmas, window_len)
+                Kde::from_sample_iter(sample.iter().map(Vec::as_slice), sigmas, window_len)
                     .map_err(CoreError::Density)?,
             )
         };
@@ -309,6 +313,7 @@ impl SensorEstimator {
             return Err(CoreError::NoData);
         }
         let version = self.sampler.version();
+        let sigmas = self.sigmas();
         // With an unchanged sample (pushes = 0) only σ drift can force a
         // rebuild — the streaming σ moves on every reading even when the
         // chain sample does not.
@@ -316,17 +321,15 @@ impl SensorEstimator {
             None => true,
             Some(c) => {
                 let pushes = version.wrapping_sub(c.version);
-                self.cfg
-                    .rebuild
-                    .should_rebuild(pushes, &c.built_sigmas, &self.sigmas())
+                self.cfg.rebuild.should_rebuild(pushes, &c.built_sigmas, &sigmas)
             }
         };
         if rebuild {
             let _rebuild = snod_obs::span!("core.model.rebuild");
-            let model = self.model()?;
+            let model = self.build_model(&sigmas)?;
             self.cached = Some(ModelCache {
                 version,
-                built_sigmas: self.sigmas(),
+                built_sigmas: sigmas,
                 model,
             });
             self.epochs += 1;

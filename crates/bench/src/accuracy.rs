@@ -19,10 +19,10 @@
 
 use std::collections::HashMap;
 
-use snod_core::pipeline::{Algorithm, OutlierPipeline};
+use snod_core::pipeline::OutlierPipeline;
 use snod_core::{
-    run_backend, D3Config, EstimatorConfig, FqnBackend, FqnConfig, MgddConfig, MmdewBackend,
-    MmdewNodeConfig, UpdateStrategy,
+    run_backend, D3Backend, D3Config, EstimatorConfig, FqnBackend, FqnConfig, MgddBackend,
+    MgddConfig, MmdewBackend, MmdewNodeConfig, UpdateStrategy,
 };
 use snod_data::{DataStream, SensorStreams};
 use snod_density::{DensityModel, EquiDepthHistogram, GridHistogram};
@@ -215,7 +215,7 @@ where
             cfg.mdef_rule,
             cfg.warmup,
         );
-        let pipeline = OutlierPipeline::new(topo.clone(), sim, Algorithm::D3(d3_cfg));
+        let pipeline = OutlierPipeline::new(topo.clone(), sim, D3Backend(d3_cfg));
         let report = pipeline.run(&mut source, readings).expect("d3 run");
         let records = std::mem::take(&mut source.records);
         for level in 1..=levels as u8 {
@@ -258,7 +258,10 @@ where
         let pipeline2 = OutlierPipeline::new(
             topo.clone(),
             sim,
-            Algorithm::Mgdd(mgdd_cfg, broadcast_levels.clone()),
+            MgddBackend {
+                cfg: mgdd_cfg,
+                broadcast_levels: broadcast_levels.clone(),
+            },
         );
         let report2 = pipeline2.run(&mut source2, readings).expect("mgdd run");
         let records2 = std::mem::take(&mut source2.records);

@@ -15,8 +15,8 @@
 //! Knobs: `FIG_WINDOW` (default 1280), `FIG_SAMPLE` (default 128),
 //! `FIG_READINGS` (default 3·window), `FIG_MAX_SIDE` (default 64).
 
-use snod_core::pipeline::{Algorithm, OutlierPipeline};
-use snod_core::{D3Config, EstimatorConfig, MgddConfig, UpdateStrategy};
+use snod_core::pipeline::OutlierPipeline;
+use snod_core::{D3Backend, D3Config, EstimatorConfig, MgddBackend, MgddConfig, UpdateStrategy};
 use snod_outlier::{DistanceOutlierConfig, MdefConfig};
 use snod_simnet::{Hierarchy, NodeId, SimConfig};
 
@@ -80,7 +80,10 @@ fn main() {
         let cent = OutlierPipeline::new(
             topo.clone(),
             sim,
-            Algorithm::Centralized(DistanceOutlierConfig::new(45.0, 0.01), window),
+            snod_core::CentralizedBackend {
+                rule: DistanceOutlierConfig::new(45.0, 0.01),
+                window_per_leaf: window,
+            },
         );
         let ((cent_rate, cent_mj_per_s), cent_metrics) = obs_report::phase(|| {
             let mut src = quiet_source;
@@ -96,7 +99,7 @@ fn main() {
         let d3 = OutlierPipeline::new(
             topo.clone(),
             sim,
-            Algorithm::D3(D3Config {
+            D3Backend(D3Config {
                 estimator: est,
                 rule: DistanceOutlierConfig::new(45.0, 0.01),
                 sample_fraction: f,
@@ -127,16 +130,16 @@ fn main() {
         let mgdd = OutlierPipeline::new(
             topo.clone(),
             sim,
-            Algorithm::Mgdd(
-                MgddConfig {
+            MgddBackend {
+                cfg: MgddConfig {
                     estimator: est,
                     rule: MdefConfig::new(0.08, 0.01, 3.0).expect("valid rule"),
                     sample_fraction: f,
                     updates: UpdateStrategy::EveryAcceptance,
                     staleness_bound_ns: None,
                 },
-                levels,
-            ),
+                broadcast_levels: levels,
+            },
         );
         let (mgdd_rate, mgdd_metrics) = obs_report::phase(|| {
             let mut src = quiet_source;

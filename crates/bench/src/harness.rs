@@ -20,7 +20,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use snod_core::pipeline::OutlierPipeline;
+use snod_core::pipeline::leaf_position;
 use snod_core::Detection;
 use snod_data::SensorStreams;
 use snod_outlier::{DistanceOutlierConfig, MdefConfig, PrecisionRecall};
@@ -356,7 +356,7 @@ impl<'a> RecordingSource<'a> {
 
 impl StreamSource for RecordingSource<'_> {
     fn next(&mut self, node: NodeId, seq: u64) -> Option<Vec<f64>> {
-        let leaf = OutlierPipeline::leaf_position(&self.topo, node)?;
+        let leaf = leaf_position(&self.topo, node)?;
         let value = self.streams.next_for(leaf);
         let (dist, mdef) = self.tracker.ingest(leaf, &value);
         if seq >= self.warmup {

@@ -7,8 +7,8 @@
 
 use snod_bench::conformance::{run_backend_parity, BackendParityReport};
 use snod_core::{
-    D3Backend, D3Config, DetectorBackend, EstimatorConfig, FqnBackend, FqnConfig, MgddBackend,
-    MgddConfig, MmdewBackend, MmdewNodeConfig, UpdateStrategy,
+    CentralizedBackend, D3Backend, D3Config, DetectorBackend, EstimatorConfig, FqnBackend,
+    FqnConfig, MgddBackend, MgddConfig, MmdewBackend, MmdewNodeConfig, UpdateStrategy,
 };
 use snod_data::DataStream;
 use snod_outlier::{DistanceOutlierConfig, MdefConfig};
@@ -134,6 +134,15 @@ fn fqn_drivers_are_bit_identical_across_seeds_and_faults() {
         sample_fraction: 0.5,
         seed: 9,
     });
+    parity_matrix(&backend, 700, spikes);
+}
+
+#[test]
+fn centralized_drivers_are_bit_identical_across_seeds_and_faults() {
+    let backend = CentralizedBackend {
+        rule: DistanceOutlierConfig::new(8.0, 0.02),
+        window_per_leaf: 100,
+    };
     parity_matrix(&backend, 700, spikes);
 }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use snod_core::BackendKind;
+
 /// Which subcommand to run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -44,8 +46,8 @@ pub struct ServeArgs {
     pub neighbors: f64,
     /// Bounded per-tenant queue capacity.
     pub queue: usize,
-    /// Detector backend every tenant runs: "d3", "mmdew" or "fqn".
-    pub detector: String,
+    /// Detector backend every tenant runs: d3, mmdew or fqn.
+    pub detector: BackendKind,
 }
 
 impl Default for ServeArgs {
@@ -61,7 +63,7 @@ impl Default for ServeArgs {
             radius: 0.02,
             neighbors: 10.0,
             queue: 256,
-            detector: "d3".into(),
+            detector: BackendKind::D3,
         }
     }
 }
@@ -87,16 +89,16 @@ pub struct SimulateArgs {
     pub leaves: usize,
     /// Readings per leaf.
     pub readings: u64,
-    /// Detector backend: "d3", "mgdd", "mmdew", "fqn" or "centralized".
-    /// (`--detector` and `--algorithm` are interchangeable spellings.)
-    pub algorithm: String,
+    /// Detector backend (`--detector` and `--algorithm` are
+    /// interchangeable spellings).
+    pub algorithm: BackendKind,
     /// Sample-propagation fraction `f`.
     pub fraction: f64,
     /// Message-loss probability.
     pub loss: f64,
     /// Write a JSON metrics snapshot here after the run.
     pub metrics_out: Option<String>,
-    /// Write a checkpoint of the run to this file (d3/mgdd only).
+    /// Write a checkpoint of the run to this file.
     pub checkpoint_out: Option<String>,
     /// With `checkpoint_out`: snapshot after this many readings per
     /// leaf instead of at the end, then continue to completion.
@@ -119,7 +121,7 @@ impl Default for SimulateArgs {
         Self {
             leaves: 16,
             readings: 6_000,
-            algorithm: "d3".into(),
+            algorithm: BackendKind::D3,
             fraction: 0.5,
             loss: 0.0,
             metrics_out: None,
@@ -219,8 +221,7 @@ SIMULATE OPTIONS:
   --fraction F      sample-propagation fraction f (default 0.5)
   --loss P          message-loss probability      (default 0)
   --metrics-out F   write a JSON metrics snapshot to F after the run
-  --checkpoint-out F  write a checkpoint of the run to F (all but
-                    centralized)
+  --checkpoint-out F  write a checkpoint of the run to F
   --checkpoint-at K   with --checkpoint-out: snapshot after K readings
                       per leaf, then continue to completion
   --resume-from F   restore checkpoint F before running; the remaining
@@ -300,17 +301,6 @@ fn parse_simulate<I: Iterator<Item = String>>(mut it: I) -> Result<Command, ArgE
     if s.checkpoint_at.is_some() && s.checkpoint_out.is_none() {
         return Err(ArgError("--checkpoint-at needs --checkpoint-out".into()));
     }
-    if (s.checkpoint_out.is_some() || s.resume_from.is_some()) && s.algorithm == "centralized" {
-        return Err(ArgError(
-            "checkpoint/resume supports d3, mgdd, mmdew and fqn only".into(),
-        ));
-    }
-    if !["d3", "mgdd", "mmdew", "fqn", "centralized"].contains(&s.algorithm.as_str()) {
-        return Err(ArgError(format!(
-            "unknown detector {:?} (d3 | mgdd | mmdew | fqn | centralized)",
-            s.algorithm
-        )));
-    }
     if !(0.0..=1.0).contains(&s.fraction) || !(0.0..=1.0).contains(&s.loss) {
         return Err(ArgError("--fraction and --loss must lie in [0, 1]".into()));
     }
@@ -320,17 +310,10 @@ fn parse_simulate<I: Iterator<Item = String>>(mut it: I) -> Result<Command, ArgE
             s.driver
         )));
     }
-    if s.driver == "live" {
-        if s.algorithm == "centralized" {
-            return Err(ArgError(
-                "--driver live supports the d3, mgdd, mmdew and fqn detectors only".into(),
-            ));
-        }
-        if s.checkpoint_out.is_some() || s.resume_from.is_some() {
-            return Err(ArgError(
-                "checkpoint/resume flags run under the simulator driver only".into(),
-            ));
-        }
+    if s.driver == "live" && (s.checkpoint_out.is_some() || s.resume_from.is_some()) {
+        return Err(ArgError(
+            "checkpoint/resume flags run under the simulator driver only".into(),
+        ));
     }
     Ok(Command::Simulate(s))
 }
@@ -367,11 +350,8 @@ fn parse_serve<I: Iterator<Item = String>>(mut it: I) -> Result<Command, ArgErro
     if s.queue == 0 {
         return Err(ArgError("--queue must be positive".into()));
     }
-    if !["d3", "mmdew", "fqn"].contains(&s.detector.as_str()) {
-        return Err(ArgError(format!(
-            "unknown serve detector {:?} (d3 | mmdew | fqn)",
-            s.detector
-        )));
+    if matches!(s.detector, BackendKind::Mgdd | BackendKind::Centralized) {
+        return Err(ArgError(format!("serve tenants cannot run {}", s.detector)));
     }
     Ok(Command::Serve(s))
 }
@@ -574,7 +554,7 @@ mod tests {
             panic!("wrong command");
         };
         assert_eq!(s.leaves, 32);
-        assert_eq!(s.algorithm, "mgdd");
+        assert_eq!(s.algorithm, BackendKind::Mgdd);
         assert_eq!(s.loss, 0.1);
         assert!(parse(["simulate".into(), "--algorithm".into(), "nope".into()]).is_err());
         assert!(parse(["simulate".into(), "--loss".into(), "1.5".into()]).is_err());
@@ -600,7 +580,7 @@ mod tests {
         assert_eq!(s.resume_from.as_deref(), Some("ck.snod"));
         // --checkpoint-at without --checkpoint-out is meaningless.
         assert!(parse(["simulate".into(), "--checkpoint-at".into(), "5".into()]).is_err());
-        // The centralized baseline does not persist node state.
+        // The centralized baseline checkpoints like every other detector.
         assert!(parse([
             "simulate".into(),
             "--algorithm".into(),
@@ -608,7 +588,7 @@ mod tests {
             "--checkpoint-out".into(),
             "ck".into(),
         ])
-        .is_err());
+        .is_ok());
     }
 
     #[test]
@@ -629,7 +609,8 @@ mod tests {
         };
         assert_eq!(s.driver, "sim");
         assert_eq!(s.replay.as_deref(), Some("trace.csv"));
-        // Unknown driver, live+centralized, and live+checkpoint are rejected.
+        // Unknown driver and live+checkpoint are rejected; live+centralized
+        // runs like every other detector.
         assert!(parse(["simulate".into(), "--driver".into(), "warp".into()]).is_err());
         assert!(parse([
             "simulate".into(),
@@ -638,7 +619,7 @@ mod tests {
             "--algorithm".into(),
             "centralized".into(),
         ])
-        .is_err());
+        .is_ok());
         assert!(parse([
             "simulate".into(),
             "--driver".into(),
@@ -697,35 +678,18 @@ mod tests {
 
     #[test]
     fn detector_flag_selects_backends() {
-        for det in ["d3", "mgdd", "mmdew", "fqn"] {
-            let Command::Simulate(s) = parse_ok(&["simulate", "--detector", det]) else {
+        for kind in BackendKind::ALL {
+            let Command::Simulate(s) = parse_ok(&["simulate", "--detector", kind.as_str()]) else {
                 panic!("wrong command");
             };
-            assert_eq!(s.algorithm, det);
+            assert_eq!(s.algorithm, kind);
         }
         // --algorithm stays an alias for the same field.
         let Command::Simulate(s) = parse_ok(&["simulate", "--algorithm", "fqn"]) else {
             panic!("wrong command");
         };
-        assert_eq!(s.algorithm, "fqn");
+        assert_eq!(s.algorithm, BackendKind::Fqn);
         assert!(parse(["simulate".into(), "--detector".into(), "kde".into()]).is_err());
-        // mmdew and fqn run under the live driver and checkpoint.
-        assert!(parse([
-            "simulate".into(),
-            "--detector".into(),
-            "mmdew".into(),
-            "--driver".into(),
-            "live".into(),
-        ])
-        .is_ok());
-        assert!(parse([
-            "simulate".into(),
-            "--detector".into(),
-            "fqn".into(),
-            "--checkpoint-out".into(),
-            "ck".into(),
-        ])
-        .is_ok());
     }
 
     #[test]
@@ -733,7 +697,7 @@ mod tests {
         let Command::Simulate(s) = parse_ok(&["--detector", "mmdew", "--readings", "500"]) else {
             panic!("wrong command");
         };
-        assert_eq!(s.algorithm, "mmdew");
+        assert_eq!(s.algorithm, BackendKind::Mmdew);
         assert_eq!(s.readings, 500);
         // Unknown flags still error rather than silently simulating.
         assert!(parse(["--frobnicate".into()]).is_err());
@@ -744,12 +708,14 @@ mod tests {
         let Command::Serve(s) = parse_ok(&["serve", "--detector", "fqn"]) else {
             panic!("wrong command");
         };
-        assert_eq!(s.detector, "fqn");
+        assert_eq!(s.detector, BackendKind::Fqn);
         let Command::Serve(s) = parse_ok(&["serve"]) else {
             panic!("wrong command");
         };
-        assert_eq!(s.detector, "d3");
-        assert!(parse(["serve".into(), "--detector".into(), "mgdd".into()]).is_err());
+        assert_eq!(s.detector, BackendKind::D3);
+        for bad in ["mgdd", "centralized", "kde"] {
+            assert!(parse(["serve".into(), "--detector".into(), bad.into()]).is_err());
+        }
     }
 
     #[test]

@@ -2,9 +2,15 @@
 
 use std::io::{BufRead, BufReader, Write};
 
-use snod_core::{EstimatorConfig, SensorEstimator};
-use snod_data::{per_dimension_stats, DataStream, GaussianMixtureStream};
+use snod_core::pipeline::{leaf_position, CheckpointPlan, OutlierPipeline};
+use snod_core::{
+    BackendKind, CentralizedBackend, D3Backend, D3Config, DetectorBackend, EstimatorConfig,
+    FqnBackend, FqnConfig, MgddBackend, MgddConfig, MmdewBackend, MmdewNodeConfig, SensorEstimator,
+    UpdateStrategy,
+};
+use snod_data::{per_dimension_stats, DataStream, GaussianMixtureStream, SensorStreams};
 use snod_outlier::{DistanceOutlierConfig, MdefConfig};
+use snod_simnet::ReadingTrace;
 
 use crate::args::{DetectArgs, SimulateArgs, StatsArgs};
 use crate::csv::for_each_reading;
@@ -130,9 +136,9 @@ pub fn stats(args: &StatsArgs, out: &mut dyn Write) -> Result<u64, CliError> {
 /// The `snod simulate` reading source: either a replayed trace or the
 /// synthetic generator closure, optionally recording what it hands out.
 struct SimSource<F> {
-    replay: Option<snod_simnet::ReadingTrace>,
+    replay: Option<ReadingTrace>,
     synth: F,
-    record: Option<snod_simnet::ReadingTrace>,
+    record: Option<ReadingTrace>,
 }
 
 impl<F> snod_simnet::StreamSource for SimSource<F>
@@ -154,12 +160,6 @@ where
 /// `snod simulate`: run a distributed algorithm over a synthetic
 /// hierarchy and report detections plus network cost.
 pub fn simulate(args: &SimulateArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    use snod_core::pipeline::{Algorithm, CheckpointPlan, OutlierPipeline};
-    use snod_core::{D3Config, MgddConfig, UpdateStrategy};
-    use snod_data::SensorStreams;
-    use snod_outlier::MdefConfig;
-    use snod_simnet::ReadingTrace;
-
     let window = 2_000usize;
     let est = EstimatorConfig::builder()
         .window(window)
@@ -167,41 +167,56 @@ pub fn simulate(args: &SimulateArgs, out: &mut dyn Write) -> Result<(), CliError
         .seed(0x51D)
         .build()
         .expect("valid configuration");
-    let algorithm = match args.algorithm.as_str() {
-        "d3" => Algorithm::D3(D3Config {
+    let rule = DistanceOutlierConfig::new(window as f64 * 0.0045, 0.01);
+    let sample_fraction = args.fraction;
+    let mgdd = MgddBackend {
+        cfg: MgddConfig {
             estimator: est,
-            rule: DistanceOutlierConfig::new(window as f64 * 0.0045, 0.01),
-            sample_fraction: args.fraction,
-        }),
-        "mgdd" => Algorithm::Mgdd(
-            MgddConfig {
-                estimator: est,
-                rule: MdefConfig::new(0.08, 0.01, 3.0).expect("valid rule"),
-                sample_fraction: args.fraction,
-                updates: UpdateStrategy::EveryAcceptance,
-                staleness_bound_ns: None,
-            },
-            vec![],
-        ),
-        // FQN's sorted-buffer Q_n query is O(window) per reading, so the
-        // robust window is deliberately smaller than the KDE one.
-        "fqn" => Algorithm::Fqn(snod_core::FqnConfig {
-            dimensions: 1,
-            window: 256,
-            k_scale: 4.0,
-            warmup: 64,
-            sample_fraction: args.fraction,
-            seed: 0x51D,
-        }),
-        "mmdew" => Algorithm::Mmdew(snod_core::MmdewNodeConfig {
-            sample_fraction: args.fraction,
-            ..snod_core::MmdewNodeConfig::default()
-        }),
-        _ => Algorithm::Centralized(
-            DistanceOutlierConfig::new(window as f64 * 0.0045, 0.01),
-            window,
-        ),
+            rule: MdefConfig::new(0.08, 0.01, 3.0).expect("valid rule"),
+            sample_fraction,
+            updates: UpdateStrategy::EveryAcceptance,
+            staleness_bound_ns: None,
+        },
+        broadcast_levels: vec![],
     };
+    // FQN's sorted-buffer Q_n query is O(window) per reading, so the
+    // robust window is deliberately smaller than the KDE one.
+    let fqn = FqnConfig {
+        dimensions: 1,
+        window: 256,
+        k_scale: 4.0,
+        warmup: 64,
+        sample_fraction,
+        seed: 0x51D,
+    };
+    let mmdew = MmdewNodeConfig {
+        sample_fraction,
+        ..MmdewNodeConfig::default()
+    };
+    let d3 = D3Config {
+        estimator: est,
+        rule,
+        sample_fraction,
+    };
+    let centralized = CentralizedBackend {
+        rule,
+        window_per_leaf: window,
+    };
+    match args.algorithm {
+        BackendKind::D3 => simulate_with(D3Backend(d3), args, out),
+        BackendKind::Mgdd => simulate_with(mgdd, args, out),
+        BackendKind::Fqn => simulate_with(FqnBackend(fqn), args, out),
+        BackendKind::Mmdew => simulate_with(MmdewBackend(mmdew), args, out),
+        BackendKind::Centralized => simulate_with(centralized, args, out),
+    }
+}
+
+/// [`simulate`] over one detector recipe.
+fn simulate_with<B: DetectorBackend>(
+    backend: B,
+    args: &SimulateArgs,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
     // Quad-ish hierarchy: fan-out 4 until a single root remains.
     let mut fanouts = Vec::new();
     let mut n = args.leaves;
@@ -221,7 +236,7 @@ pub fn simulate(args: &SimulateArgs, out: &mut dyn Write) -> Result<(), CliError
             .checkpoint_at
             .map(|k| k.saturating_mul(sim.reading_period_ns)),
     };
-    let pipeline = OutlierPipeline::balanced(args.leaves, &fanouts, sim, algorithm)
+    let pipeline = OutlierPipeline::balanced(args.leaves, &fanouts, sim, backend)
         .map_err(|e| format!("pipeline setup failed: {e}"))?;
     let mut streams = SensorStreams::generate(args.leaves, |i| {
         GaussianMixtureStream::new(1, 77 + i as u64)
@@ -242,7 +257,7 @@ pub fn simulate(args: &SimulateArgs, out: &mut dyn Write) -> Result<(), CliError
             None => None,
         },
         synth: move |node: snod_simnet::NodeId, seq: u64| {
-            let leaf = OutlierPipeline::leaf_position(&synth_topo, node)?;
+            let leaf = leaf_position(&synth_topo, node)?;
             let mut v = None;
             while consumed[leaf] <= seq {
                 v = Some(streams.next_for(leaf));
@@ -317,10 +332,7 @@ pub fn serve_daemon(args: &crate::args::ServeArgs, out: &mut dyn Write) -> Resul
             sample_size: args.sample.unwrap_or_else(|| (args.window / 8).max(1)),
             radius: args.radius,
             min_neighbors: args.neighbors,
-            detector: args
-                .detector
-                .parse()
-                .map_err(|e| format!("invalid --detector: {e}"))?,
+            detector: args.detector,
             ..snod_serve::TenantSpec::default()
         },
         ..snod_serve::ServeConfig::default()
@@ -356,7 +368,7 @@ pub fn serve_client(args: &crate::args::ClientArgs, out: &mut dyn Write) -> Resu
         )
         .into());
     }
-    let trace = snod_simnet::ReadingTrace::read_file(std::path::Path::new(&args.replay))
+    let trace = ReadingTrace::read_file(std::path::Path::new(&args.replay))
         .map_err(|e| format!("cannot replay {}: {e}", args.replay))?;
     let mut totals: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
     let rows: Vec<(u32, u64, Vec<f64>)> = trace
@@ -549,30 +561,12 @@ mod tests {
     }
 
     #[test]
-    fn simulate_runs_each_algorithm() {
-        for algorithm in ["d3", "mgdd", "mmdew", "fqn", "centralized"] {
-            let args = crate::args::SimulateArgs {
-                leaves: 4,
-                readings: 400,
-                algorithm: algorithm.into(),
-                fraction: 0.5,
-                loss: 0.05,
-                ..crate::args::SimulateArgs::default()
-            };
-            let mut out = Vec::new();
-            simulate(&args, &mut out).unwrap();
-            let text = String::from_utf8(out).unwrap();
-            assert!(text.contains("messages"), "{algorithm}: {text}");
-        }
-    }
-
-    #[test]
     fn simulate_writes_metrics_snapshot() {
         let path = std::env::temp_dir().join("snod_cli_metrics_test.json");
         let args = crate::args::SimulateArgs {
             leaves: 4,
             readings: 200,
-            algorithm: "d3".into(),
+            algorithm: BackendKind::D3,
             fraction: 0.5,
             loss: 0.0,
             metrics_out: Some(path.to_string_lossy().into_owned()),
@@ -590,17 +584,22 @@ mod tests {
 
     #[test]
     fn simulate_checkpoint_resume_is_bit_identical() {
-        for algorithm in ["d3", "mmdew", "fqn"] {
+        for algorithm in [
+            BackendKind::D3,
+            BackendKind::Mmdew,
+            BackendKind::Fqn,
+            BackendKind::Centralized,
+        ] {
             simulate_checkpoint_resume_case(algorithm);
         }
     }
 
-    fn simulate_checkpoint_resume_case(algorithm: &str) {
+    fn simulate_checkpoint_resume_case(algorithm: BackendKind) {
         let ck = std::env::temp_dir().join(format!("snod_cli_ckpt_test_{algorithm}.snod"));
         let base = crate::args::SimulateArgs {
             leaves: 4,
             readings: 300,
-            algorithm: algorithm.into(),
+            algorithm,
             fraction: 0.5,
             loss: 0.05,
             ..crate::args::SimulateArgs::default()
@@ -635,11 +634,11 @@ mod tests {
     #[test]
     fn simulate_record_then_replay_across_drivers_is_identical() {
         let trace = std::env::temp_dir().join("snod_cli_trace_test.csv");
-        for algorithm in ["d3", "mgdd", "mmdew", "fqn"] {
+        for algorithm in BackendKind::ALL {
             let base = crate::args::SimulateArgs {
                 leaves: 4,
                 readings: 400,
-                algorithm: algorithm.into(),
+                algorithm,
                 fraction: 0.5,
                 loss: 0.05,
                 ..crate::args::SimulateArgs::default()
@@ -672,6 +671,7 @@ mod tests {
                 strip(&replayed),
                 "{algorithm}: live replay diverged from the recording run"
             );
+            assert!(strip(&recorded).iter().any(|l| l.contains("network:")));
         }
         std::fs::remove_file(&trace).ok();
     }
@@ -681,7 +681,7 @@ mod tests {
         let args = crate::args::SimulateArgs {
             leaves: 4,
             readings: 100,
-            algorithm: "d3".into(),
+            algorithm: BackendKind::D3,
             fraction: 0.5,
             loss: 0.0,
             replay: Some("/nonexistent/definitely.trace".into()),

@@ -1,8 +1,9 @@
 //! First-class detector backends.
 //!
-//! The four detector families — D3 (kernel-density distance rule), MGDD
-//! (multi-granular MDEF), FQN (streaming Q_n robust scale) and MMDEW
-//! (MMD on exponential windows) — share the same runtime shape: a
+//! The five detector families — D3 (kernel-density distance rule), MGDD
+//! (multi-granular MDEF), FQN (streaming Q_n robust scale), MMDEW (MMD
+//! on exponential windows) and the centralized baseline (every reading
+//! to the root) — share the same runtime shape: a
 //! per-node [`DetectorEngine`] that ingests readings, exchanges wire
 //! messages up the hierarchy and records [`Detection`]s. This module
 //! names that shape ([`DetectorBackend`]) so every layer above the
@@ -17,12 +18,14 @@
 //! wall-clock runtime over identical engines — the pairing the
 //! driver-parity suites pin bit-for-bit.
 
+use snod_outlier::DistanceOutlierConfig;
 use snod_persist::Persist;
 use snod_simnet::{
     DetectorEngine, FaultPlan, Hierarchy, LiveRuntime, Network, NodeId, SimConfig, StreamSource,
     Wire,
 };
 
+use crate::centralized::{CentralizedNode, CentralizedPayload};
 use crate::config::{CoreError, D3Config, MgddConfig};
 use crate::containment::Detection;
 use crate::d3::{D3Node, D3Payload};
@@ -42,15 +45,19 @@ pub enum BackendKind {
     Mmdew,
     /// Streaming Q_n robust-scale outlier detection (Cafaro et al.).
     Fqn,
+    /// The centralized baseline: every reading relayed to the root
+    /// (paper §8.1, Figure 11).
+    Centralized,
 }
 
 impl BackendKind {
     /// All selectable kinds, in CLI presentation order.
-    pub const ALL: [BackendKind; 4] = [
+    pub const ALL: [BackendKind; 5] = [
         BackendKind::D3,
         BackendKind::Mgdd,
         BackendKind::Mmdew,
         BackendKind::Fqn,
+        BackendKind::Centralized,
     ];
 
     /// The CLI/config token for this kind.
@@ -60,6 +67,7 @@ impl BackendKind {
             BackendKind::Mgdd => "mgdd",
             BackendKind::Mmdew => "mmdew",
             BackendKind::Fqn => "fqn",
+            BackendKind::Centralized => "centralized",
         }
     }
 }
@@ -73,8 +81,9 @@ impl std::str::FromStr for BackendKind {
             "mgdd" => Ok(BackendKind::Mgdd),
             "mmdew" => Ok(BackendKind::Mmdew),
             "fqn" => Ok(BackendKind::Fqn),
+            "centralized" => Ok(BackendKind::Centralized),
             _ => Err(CoreError::Config(
-                "unknown detector (expected d3|mgdd|mmdew|fqn)",
+                "unknown detector (expected d3|mgdd|mmdew|fqn|centralized)",
             )),
         }
     }
@@ -220,6 +229,47 @@ impl DetectorBackend for MmdewBackend {
     }
 }
 
+/// [`DetectorBackend`] recipe for the centralized baseline: the root
+/// keeps an exact union window of `window_per_leaf` readings per leaf
+/// and applies `rule` with its threshold scaled to the union.
+#[derive(Debug, Clone)]
+pub struct CentralizedBackend {
+    /// The `(D, r)` rule, with `D` stated per leaf window.
+    pub rule: DistanceOutlierConfig,
+    /// Per-leaf window `|W|`.
+    pub window_per_leaf: usize,
+}
+
+impl DetectorBackend for CentralizedBackend {
+    type Payload = CentralizedPayload;
+    type Engine = CentralizedNode;
+
+    fn kind(&self) -> BackendKind {
+        BackendKind::Centralized
+    }
+
+    fn validate(&self) -> Result<(), CoreError> {
+        let r = self.rule.radius;
+        if !(r > 0.0) || !r.is_finite() {
+            return Err(CoreError::Config(
+                "centralized radius must be positive and finite",
+            ));
+        }
+        if self.window_per_leaf == 0 {
+            return Err(CoreError::Config("window per leaf must be positive"));
+        }
+        Ok(())
+    }
+
+    fn make_engine(&self, node: NodeId, topo: &Hierarchy) -> CentralizedNode {
+        CentralizedNode::new(node, topo, self.rule, self.window_per_leaf)
+    }
+
+    fn detections(engine: &CentralizedNode) -> &[Detection] {
+        &engine.detections
+    }
+}
+
 /// Builds the simulated network for any backend without running it.
 pub fn build_backend_network<B: DetectorBackend>(
     backend: &B,
@@ -275,7 +325,7 @@ pub fn run_backend<B: DetectorBackend, S: StreamSource>(
 mod tests {
     use super::*;
     use crate::config::{EstimatorConfig, UpdateStrategy};
-    use snod_outlier::{DistanceOutlierConfig, MdefConfig};
+    use snod_outlier::MdefConfig;
 
     #[test]
     fn kind_tokens_round_trip() {
@@ -328,6 +378,10 @@ mod tests {
                 }),
                 BackendKind::Fqn => drive(&FqnBackend(FqnConfig::default())),
                 BackendKind::Mmdew => drive(&MmdewBackend(MmdewNodeConfig::default())),
+                BackendKind::Centralized => drive(&CentralizedBackend {
+                    rule: DistanceOutlierConfig::new(10.0, 0.02),
+                    window_per_leaf: 100,
+                }),
             };
             assert!(detections > 0, "{kind} silent");
         }
@@ -347,6 +401,17 @@ mod tests {
             FaultPlan::none()
         )
         .is_err());
+        // A bad radius or an empty window is a config error, not a panic
+        // inside `ExactWindowDetector::new`.
+        for (radius, window_per_leaf) in [(0.0, 100), (-0.02, 100), (f64::NAN, 100), (0.02, 0)] {
+            let bad = CentralizedBackend {
+                rule: DistanceOutlierConfig::new(10.0, radius),
+                window_per_leaf,
+            };
+            let built =
+                build_backend_network(&bad, topo.clone(), SimConfig::default(), FaultPlan::none());
+            assert!(built.is_err(), "radius {radius}, window {window_per_leaf}");
+        }
         let mut mmdew = MmdewNodeConfig::default();
         mmdew.detector.bucket_cap = 0;
         assert!(

@@ -18,16 +18,18 @@
 //!   Detection, Section 8): leaders maintain region models and stream
 //!   incremental updates down to the leaves, which evaluate the MDEF
 //!   test against each granularity's *global* model.
+//! * [`CentralizedNode`] — the baseline that ships every reading to the
+//!   top-level leader (Section 8.1's comparison point and the upper
+//!   curve of Figure 11).
 //! * [`DetectorBackend`] — a validated recipe for one detector family
-//!   ([`D3Backend`], [`MgddBackend`], [`FqnBackend`], [`MmdewBackend`]).
-//!   [`build_backend_network`], [`build_backend_live`] and
-//!   [`run_backend_with_faults`] turn any recipe into the simulated or
-//!   the wall-clock runtime — the one way to build and run a detector.
-//! * [`CentralizedNode`] / [`run_centralized`] — the baseline that ships
-//!   every reading to the top-level leader (Section 8.1's comparison
-//!   point and the upper curve of Figure 11).
-//! * [`apps`] — the Section 9 applications: faulty sensor detection via
-//!   model divergence and windowed outlier-count alarms.
+//!   ([`D3Backend`], [`MgddBackend`], [`FqnBackend`], [`MmdewBackend`],
+//!   [`CentralizedBackend`]). [`build_backend_network`],
+//!   [`build_backend_live`] and [`run_backend_with_faults`] turn any
+//!   recipe into the simulated or the wall-clock runtime — the one way
+//!   to build and run a detector.
+//! * [`MonitorNode`] / [`run_monitor`] and [`apps`] — the Section 9
+//!   applications: faulty sensor detection via model divergence and
+//!   windowed outlier-count alarms.
 //!
 //! The [`pipeline`] module offers a one-call API over all of the above
 //! for downstream users who just want "outliers out of my sensor
@@ -55,11 +57,9 @@ mod shift;
 
 pub use backend::{
     build_backend_live, build_backend_network, run_backend, run_backend_with_faults, BackendKind,
-    D3Backend, DetectorBackend, FqnBackend, MgddBackend, MmdewBackend,
+    CentralizedBackend, D3Backend, DetectorBackend, FqnBackend, MgddBackend, MmdewBackend,
 };
-pub use centralized::{
-    run_centralized, run_centralized_with_faults, CentralizedNode, CentralizedPayload,
-};
+pub use centralized::{CentralizedNode, CentralizedPayload};
 pub use config::{
     CoreError, D3Config, EstimatorConfig, EstimatorConfigBuilder, MgddConfig, RebuildPolicy,
     UpdateStrategy,

@@ -11,38 +11,16 @@ use std::path::PathBuf;
 
 use snod_simnet::{FaultPlan, Hierarchy, NetStats, NodeId, SimConfig, StreamSource};
 
-use crate::backend::{
-    build_backend_live, build_backend_network, D3Backend, DetectorBackend, FqnBackend, MgddBackend,
-    MmdewBackend,
-};
-use crate::centralized::run_centralized_with_faults;
-use crate::config::{CoreError, D3Config, MgddConfig};
+use crate::backend::{build_backend_live, build_backend_network, DetectorBackend};
+use crate::config::CoreError;
 use crate::containment::Detection;
-use crate::fqn::FqnConfig;
-use crate::shift::MmdewNodeConfig;
 
-/// Which detector the pipeline runs.
+/// A configured, reusable pipeline over one detector recipe.
 #[derive(Debug, Clone)]
-pub enum Algorithm {
-    /// Distributed distance-based detection (Section 7).
-    D3(D3Config),
-    /// Multi-granular MDEF detection (Section 8), with the given
-    /// broadcast levels (see [`MgddBackend::broadcast_levels`]).
-    Mgdd(MgddConfig, Vec<u8>),
-    /// Streaming Q_n robust-scale detection (median ± k·Q_n).
-    Fqn(FqnConfig),
-    /// MMD-on-exponential-windows distribution-shift detection.
-    Mmdew(MmdewNodeConfig),
-    /// The centralized baseline (everything to the root).
-    Centralized(snod_outlier::DistanceOutlierConfig, usize),
-}
-
-/// A configured, reusable pipeline.
-#[derive(Debug, Clone)]
-pub struct OutlierPipeline {
+pub struct OutlierPipeline<B: DetectorBackend> {
     topo: Hierarchy,
     sim: SimConfig,
-    algorithm: Algorithm,
+    backend: B,
     plan: FaultPlan,
 }
 
@@ -82,19 +60,9 @@ pub struct CheckpointPlan {
     pub checkpoint_at_ns: Option<u64>,
 }
 
-impl CheckpointPlan {
-    /// True when the plan neither restores nor snapshots anything.
-    pub fn is_noop(&self) -> bool {
-        self.resume_from.is_none() && self.checkpoint_out.is_none()
-    }
-}
-
-/// Which runtime hosts the engines of one pipeline run.
-enum Driver<'a> {
-    /// The discrete-event simulator, under a checkpoint plan.
-    Sim(&'a CheckpointPlan),
-    /// The live runtime: one worker thread per node, virtual clock.
-    Live,
+/// Maps a leaf node id to its stream index (position among leaves).
+pub fn leaf_position(topo: &Hierarchy, node: NodeId) -> Option<usize> {
+    topo.leaves().iter().position(|&l| l == node)
 }
 
 /// Groups a finished run's detections by level.
@@ -112,13 +80,13 @@ fn report_by_level<'a>(
     }
 }
 
-impl OutlierPipeline {
+impl<B: DetectorBackend> OutlierPipeline<B> {
     /// Builds a pipeline over an explicit hierarchy.
-    pub fn new(topo: Hierarchy, sim: SimConfig, algorithm: Algorithm) -> Self {
+    pub fn new(topo: Hierarchy, sim: SimConfig, backend: B) -> Self {
         Self {
             topo,
             sim,
-            algorithm,
+            backend,
             plan: FaultPlan::none(),
         }
     }
@@ -132,32 +100,22 @@ impl OutlierPipeline {
         self
     }
 
-    /// The installed fault schedule.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Convenience: a balanced hierarchy of `leaves` sensors under the
     /// given leader fan-outs.
     pub fn balanced(
         leaves: usize,
         fanouts: &[usize],
         sim: SimConfig,
-        algorithm: Algorithm,
+        backend: B,
     ) -> Result<Self, CoreError> {
         let topo = Hierarchy::balanced(leaves, fanouts)
             .map_err(|_| CoreError::Config("invalid hierarchy shape"))?;
-        Ok(Self::new(topo, sim, algorithm))
+        Ok(Self::new(topo, sim, backend))
     }
 
     /// The hierarchy this pipeline runs on.
     pub fn topology(&self) -> &Hierarchy {
         &self.topo
-    }
-
-    /// Maps a leaf node id to its stream index (position among leaves).
-    pub fn leaf_position(topo: &Hierarchy, node: NodeId) -> Option<usize> {
-        topo.leaves().iter().position(|&l| l == node)
     }
 
     /// Runs the pipeline: each leaf consumes `readings_per_leaf` values
@@ -172,9 +130,7 @@ impl OutlierPipeline {
 
     /// [`Self::run`] with checkpoint/resume: optionally restores a
     /// snapshot before the first event, optionally writes one mid-run or
-    /// at the end. The D3, MGDD, FQN and MMDEW algorithms persist their
-    /// node state; asking for a snapshot of the centralized baseline is
-    /// a configuration error.
+    /// at the end.
     ///
     /// Stopping at instant `k`, snapshotting, and resuming the file in a
     /// freshly built identical pipeline replays the remainder of the run
@@ -186,117 +142,56 @@ impl OutlierPipeline {
         readings_per_leaf: u64,
         ckpt: &CheckpointPlan,
     ) -> Result<PipelineReport, CoreError> {
-        self.dispatch(source, readings_per_leaf, Driver::Sim(ckpt))
+        let (topo, plan) = (self.topo.clone(), self.plan.clone());
+        let mut net = build_backend_network(&self.backend, topo, self.sim, plan)?;
+        if let Some(path) = &ckpt.resume_from {
+            net.restore_from_file(path)?;
+        }
+        match (&ckpt.checkpoint_out, ckpt.checkpoint_at_ns) {
+            (Some(out), Some(at)) => {
+                net.run_until(source, readings_per_leaf, at);
+                net.checkpoint_to_file(out)?;
+                net.run_until(source, readings_per_leaf, u64::MAX);
+            }
+            (Some(out), None) => {
+                net.run(source, readings_per_leaf);
+                net.checkpoint_to_file(out)?;
+            }
+            (None, _) => net.run(source, readings_per_leaf),
+        }
+        Ok(report_by_level(
+            net.apps().map(|(_, app)| B::detections(app)),
+            net.stats(),
+        ))
     }
 
     /// [`Self::run`] on the live runtime — real worker threads per node
     /// over the identical engines, bit-identical to the simulator on the
-    /// same readings. It has no checkpoint schedule, and the centralized
-    /// baseline has no live form.
+    /// same readings. It has no checkpoint schedule.
     pub fn run_live<S: StreamSource>(
         &self,
         source: &mut S,
         readings_per_leaf: u64,
     ) -> Result<PipelineReport, CoreError> {
-        self.dispatch(source, readings_per_leaf, Driver::Live)
-    }
-
-    fn dispatch<S: StreamSource>(
-        &self,
-        source: &mut S,
-        readings_per_leaf: u64,
-        driver: Driver<'_>,
-    ) -> Result<PipelineReport, CoreError> {
-        match &self.algorithm {
-            Algorithm::D3(cfg) => self.drive(&D3Backend(*cfg), source, readings_per_leaf, driver),
-            Algorithm::Mgdd(cfg, levels) => {
-                let backend = MgddBackend {
-                    cfg: *cfg,
-                    broadcast_levels: levels.clone(),
-                };
-                self.drive(&backend, source, readings_per_leaf, driver)
-            }
-            Algorithm::Fqn(cfg) => self.drive(&FqnBackend(*cfg), source, readings_per_leaf, driver),
-            Algorithm::Mmdew(cfg) => {
-                self.drive(&MmdewBackend(*cfg), source, readings_per_leaf, driver)
-            }
-            Algorithm::Centralized(rule, window_per_leaf) => {
-                if !matches!(driver, Driver::Sim(ckpt) if ckpt.is_noop()) {
-                    return Err(CoreError::Config(
-                        "checkpoint/resume and the live driver support the d3, mgdd, fqn and \
-                         mmdew algorithms only",
-                    ));
-                }
-                let net = run_centralized_with_faults(
-                    self.topo.clone(),
-                    *rule,
-                    *window_per_leaf,
-                    self.sim,
-                    self.plan.clone(),
-                    source,
-                    readings_per_leaf,
-                )?;
-                Ok(report_by_level(
-                    net.apps().map(|(_, app)| app.detections.as_slice()),
-                    net.stats(),
-                ))
-            }
-        }
-    }
-
-    /// Builds `backend`'s engines under `driver`, restores (if asked),
-    /// runs to completion, and snapshots (if asked).
-    fn drive<B: DetectorBackend, S: StreamSource>(
-        &self,
-        backend: &B,
-        source: &mut S,
-        readings_per_leaf: u64,
-        driver: Driver<'_>,
-    ) -> Result<PipelineReport, CoreError> {
         let (topo, plan) = (self.topo.clone(), self.plan.clone());
-        match driver {
-            Driver::Live => {
-                let mut rt = build_backend_live(backend, topo, self.sim, plan)?;
-                rt.run(source, readings_per_leaf);
-                Ok(report_by_level(
-                    rt.engines().map(|(_, engine)| B::detections(engine)),
-                    rt.stats(),
-                ))
-            }
-            Driver::Sim(ckpt) => {
-                let mut net = build_backend_network(backend, topo, self.sim, plan)?;
-                if let Some(path) = &ckpt.resume_from {
-                    net.restore_from_file(path)?;
-                }
-                match (&ckpt.checkpoint_out, ckpt.checkpoint_at_ns) {
-                    (Some(out), Some(at)) => {
-                        net.run_until(source, readings_per_leaf, at);
-                        net.checkpoint_to_file(out)?;
-                        net.run_until(source, readings_per_leaf, u64::MAX);
-                    }
-                    (Some(out), None) => {
-                        net.run(source, readings_per_leaf);
-                        net.checkpoint_to_file(out)?;
-                    }
-                    (None, _) => net.run(source, readings_per_leaf),
-                }
-                Ok(report_by_level(
-                    net.apps().map(|(_, app)| B::detections(app)),
-                    net.stats(),
-                ))
-            }
-        }
+        let mut rt = build_backend_live(&self.backend, topo, self.sim, plan)?;
+        rt.run(source, readings_per_leaf);
+        Ok(report_by_level(
+            rt.engines().map(|(_, engine)| B::detections(engine)),
+            rt.stats(),
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EstimatorConfig;
+    use crate::backend::{CentralizedBackend, D3Backend};
+    use crate::config::{D3Config, EstimatorConfig};
     use snod_outlier::DistanceOutlierConfig;
 
-    fn d3_algorithm() -> Algorithm {
-        Algorithm::D3(D3Config {
+    fn d3_backend() -> D3Backend {
+        D3Backend(D3Config {
             estimator: EstimatorConfig::builder()
                 .window(400)
                 .sample_size(50)
@@ -320,8 +215,7 @@ mod tests {
 
     #[test]
     fn d3_pipeline_reports_by_level() {
-        let p =
-            OutlierPipeline::balanced(4, &[2, 2], SimConfig::default(), d3_algorithm()).unwrap();
+        let p = OutlierPipeline::balanced(4, &[2, 2], SimConfig::default(), d3_backend()).unwrap();
         let mut src = source_with_spikes();
         let report = p.run(&mut src, 800).unwrap();
         assert!(report.total_detections() > 0);
@@ -331,14 +225,11 @@ mod tests {
 
     #[test]
     fn centralized_pipeline_detects_at_root_level_only() {
-        let rule = DistanceOutlierConfig::new(8.0, 0.02);
-        let p = OutlierPipeline::balanced(
-            4,
-            &[2, 2],
-            SimConfig::default(),
-            Algorithm::Centralized(rule, 400),
-        )
-        .unwrap();
+        let backend = CentralizedBackend {
+            rule: DistanceOutlierConfig::new(8.0, 0.02),
+            window_per_leaf: 400,
+        };
+        let p = OutlierPipeline::balanced(4, &[2, 2], SimConfig::default(), backend).unwrap();
         let mut src = source_with_spikes();
         let report = p.run(&mut src, 800).unwrap();
         let levels: Vec<u8> = report.detections_by_level.keys().copied().collect();
@@ -349,7 +240,7 @@ mod tests {
     fn fault_plan_rides_the_pipeline() {
         // A total blackout burst: every frame sent is dropped, so no
         // detection can climb above the leaves.
-        let p = OutlierPipeline::balanced(4, &[2, 2], SimConfig::default(), d3_algorithm())
+        let p = OutlierPipeline::balanced(4, &[2, 2], SimConfig::default(), d3_backend())
             .unwrap()
             .with_fault_plan(FaultPlan::none().burst(0, u64::MAX, 1.0));
         let mut src = source_with_spikes();
@@ -365,16 +256,16 @@ mod tests {
 
     #[test]
     fn leaf_position_maps_ids() {
-        let p = OutlierPipeline::balanced(4, &[4], SimConfig::default(), d3_algorithm()).unwrap();
+        let p = OutlierPipeline::balanced(4, &[4], SimConfig::default(), d3_backend()).unwrap();
         let topo = p.topology();
         for (i, &leaf) in topo.leaves().iter().enumerate() {
-            assert_eq!(OutlierPipeline::leaf_position(topo, leaf), Some(i));
+            assert_eq!(leaf_position(topo, leaf), Some(i));
         }
-        assert_eq!(OutlierPipeline::leaf_position(topo, topo.root()), None);
+        assert_eq!(leaf_position(topo, topo.root()), None);
     }
 
     #[test]
     fn invalid_hierarchy_is_rejected() {
-        assert!(OutlierPipeline::balanced(0, &[4], SimConfig::default(), d3_algorithm()).is_err());
+        assert!(OutlierPipeline::balanced(0, &[4], SimConfig::default(), d3_backend()).is_err());
     }
 }

@@ -10,6 +10,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
+
 use crate::distance::DistanceOutlierConfig;
 
 /// Exact `(D, r)`-outlier detection over the last `capacity` readings.
@@ -152,6 +154,41 @@ impl ExactWindowDetector {
     }
 }
 
+/// Only the window itself is saved; the grid index is rebuilt on load by
+/// re-pushing it. A neighbour count does not depend on the order of the
+/// readings inside a cell, so the rebuilt detector answers identically.
+impl Persist for ExactWindowDetector {
+    fn save(&self, w: &mut ByteWriter) {
+        self.radius.save(w);
+        self.capacity.save(w);
+        self.order.save(w);
+    }
+
+    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+        let radius = f64::load(r)?;
+        let capacity = usize::load(r)?;
+        let order = VecDeque::<Vec<f64>>::load(r)?;
+        let corrupt = |why| Err(PersistError::Corrupt(why));
+        if !(radius > 0.0 && radius.is_finite()) {
+            return corrupt("exact window radius must be positive and finite");
+        }
+        if capacity == 0 {
+            return corrupt("exact window capacity must be positive");
+        }
+        if order.len() > capacity {
+            return corrupt("exact window holds more readings than its capacity");
+        }
+        if order.iter().flatten().any(|c| !c.is_finite()) {
+            return corrupt("exact window readings must be finite");
+        }
+        let mut det = Self::new(radius, capacity);
+        for p in order {
+            det.push(p);
+        }
+        Ok(det)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +255,72 @@ mod tests {
     #[should_panic(expected = "radius must be positive")]
     fn zero_radius_panics() {
         let _ = ExactWindowDetector::new(0.0, 10);
+    }
+
+    #[test]
+    fn save_load_keeps_verdicts_and_keeps_sliding() {
+        let rule = DistanceOutlierConfig::new(3.0, 0.05);
+        let mut det = ExactWindowDetector::new(rule.radius, 50);
+        for i in 0..80 {
+            det.push(vec![((i * 37) % 23) as f64 / 23.0]);
+        }
+        let mut restored = ExactWindowDetector::from_bytes(&det.to_bytes()).unwrap();
+        assert_eq!(restored.to_bytes(), det.to_bytes());
+        for i in 0..40 {
+            let p = vec![((i * 11) % 19) as f64 / 19.0];
+            assert_eq!(restored.push(p.clone()), det.push(p.clone()));
+            assert_eq!(
+                restored.is_outlier_indexed(&p, &rule),
+                det.is_outlier_indexed(&p, &rule)
+            );
+            assert_eq!(restored.cell_count(), det.cell_count());
+        }
+    }
+
+    /// Why `load` rejects a checkpoint with the given fields.
+    fn rejection(radius: f64, capacity: usize, order: &[Vec<f64>]) -> &'static str {
+        let mut w = ByteWriter::new();
+        (radius, capacity, order.to_vec()).save(&mut w);
+        match ExactWindowDetector::from_bytes(&w.into_bytes()) {
+            Err(PersistError::Corrupt(why)) => why,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn load_rejects_a_bad_radius() {
+        for radius in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                rejection(radius, 4, &[vec![0.5]]),
+                "exact window radius must be positive and finite"
+            );
+        }
+    }
+
+    #[test]
+    fn load_rejects_a_zero_capacity() {
+        assert_eq!(
+            rejection(0.1, 0, &[]),
+            "exact window capacity must be positive"
+        );
+    }
+
+    #[test]
+    fn load_rejects_more_readings_than_capacity() {
+        assert_eq!(
+            rejection(0.1, 2, &[vec![0.1], vec![0.2], vec![0.3]]),
+            "exact window holds more readings than its capacity"
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_non_finite_coordinate() {
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(
+                rejection(0.1, 4, &[vec![0.1, 0.2], vec![0.3, bad]]),
+                "exact window readings must be finite"
+            );
+        }
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl TenantSpec {
             BackendKind::D3 => checked(D3Backend(self.d3_config()?), visitor),
             BackendKind::Fqn => checked(FqnBackend(self.fqn_config()), visitor),
             BackendKind::Mmdew => checked(MmdewBackend(self.mmdew_config()), visitor),
-            BackendKind::Mgdd => Err(ServeError::Config(
+            BackendKind::Mgdd | BackendKind::Centralized => Err(ServeError::Config(
                 "serve tenants support the d3, fqn and mmdew detectors".into(),
             )),
         }
@@ -288,11 +288,13 @@ mod tests {
             Err(ServeError::Config(why)) => why,
             other => panic!("expected a config error, got {other:?}"),
         };
-        let why = rejected(TenantSpec {
-            detector: BackendKind::Mgdd,
-            ..TenantSpec::default()
-        });
-        assert!(why.contains("d3, fqn and mmdew"), "{why}");
+        for detector in [BackendKind::Mgdd, BackendKind::Centralized] {
+            let why = rejected(TenantSpec {
+                detector,
+                ..TenantSpec::default()
+            });
+            assert!(why.contains("d3, fqn and mmdew"), "{why}");
+        }
         let why = rejected(TenantSpec {
             detector: BackendKind::Fqn,
             k_scale: -1.0,

@@ -9,8 +9,8 @@
 //!
 //! Run with: `cargo run --release --example environmental_network`
 
-use sensor_outliers::core::pipeline::{Algorithm, OutlierPipeline};
-use sensor_outliers::core::{D3Config, EstimatorConfig};
+use sensor_outliers::core::pipeline::{leaf_position, OutlierPipeline};
+use sensor_outliers::core::{D3Backend, D3Config, EstimatorConfig};
 use sensor_outliers::data::{EnvironmentStream, SensorStreams};
 use sensor_outliers::outlier::DistanceOutlierConfig;
 use sensor_outliers::simnet::{NodeId, SimConfig};
@@ -30,16 +30,15 @@ fn main() {
     };
 
     // 32 leaves under leader tiers of fan-out 4/2/4 — the §10.2 shape.
-    let pipeline =
-        OutlierPipeline::balanced(32, &[4, 2, 4], SimConfig::default(), Algorithm::D3(cfg))
-            .expect("valid hierarchy");
+    let pipeline = OutlierPipeline::balanced(32, &[4, 2, 4], SimConfig::default(), D3Backend(cfg))
+        .expect("valid hierarchy");
     let topo = pipeline.topology().clone();
 
     // Sensor 11 intermittently reports a (pressure, dew-point) combination
     // no other sensor in the region produces.
     let mut streams = SensorStreams::generate(32, |i| EnvironmentStream::new(100 + i as u64));
     let mut source = move |node: NodeId, seq: u64| {
-        let leaf = OutlierPipeline::leaf_position(&topo, node)?;
+        let leaf = leaf_position(&topo, node)?;
         let mut v = streams.next_for(leaf);
         if leaf == 11 && seq > 4_000 && seq.is_multiple_of(500) {
             v = vec![0.44, 0.275]; // storm-low pressure with saturated air

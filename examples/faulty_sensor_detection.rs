@@ -4,63 +4,66 @@
 //! *"a parent sensor can compute the difference between the estimator
 //! models received from its children, to determine if any of them is
 //! faulty"* — the difference being the Jensen–Shannon divergence of
-//! Section 6 — and *"give a warning if the number of outliers in a given
-//! region exceeds a given threshold T over the most recent time window
-//! W"*, which we answer from an exponential histogram so the alarm stays
-//! within sketch memory.
+//! Section 6 — runs in-network: leaves report their models to their
+//! leader over the simulated radio, and the leader's monitor raises an
+//! alarm naming the child whose model stands out. *"give a warning if the
+//! number of outliers in a given region exceeds a given threshold T over
+//! the most recent time window W"* is answered from an exponential
+//! histogram so the alarm stays within sketch memory.
 //!
 //! Run with: `cargo run --release --example faulty_sensor_detection`
 
-use sensor_outliers::core::apps::{detect_faulty_sensors, model_distance, OutlierCountAlarm};
-use sensor_outliers::core::{EstimatorConfig, SensorEstimator};
-use sensor_outliers::data::{DataStream, EnvironmentStream};
+use sensor_outliers::core::apps::OutlierCountAlarm;
+use sensor_outliers::core::{run_monitor, EstimatorConfig, MonitorConfig};
+use sensor_outliers::data::{EnvironmentStream, SensorStreams};
+use sensor_outliers::simnet::{Hierarchy, NodeId, SimConfig};
 
 fn main() {
-    let window = 3_000usize;
-    let sensors = 6usize;
-    let cfg = |seed: u64| {
-        EstimatorConfig::builder()
-            .window(window)
-            .sample_size(150)
+    // Six sibling sensors under one leader see the same regional
+    // weather; sensor 4's dew-point element sticks at its ceiling.
+    let stuck = NodeId(4);
+    let topo = Hierarchy::balanced(6, &[6]).expect("valid hierarchy");
+    let cfg = MonitorConfig {
+        estimator: EstimatorConfig::builder()
+            .window(600)
+            .sample_size(80)
             .dimensions(2)
-            .seed(seed)
+            .seed(9)
             .build()
-            .expect("valid configuration")
+            .expect("valid configuration"),
+        report_every: 150,
+        threshold: 0.3,
+        grid_k: 16,
+        staleness_bound_ns: None,
     };
-
-    // Six sibling sensors in one region; sensor 4 drifts after a while
-    // (stuck dew-point element reporting maximal humidity).
-    let mut streams: Vec<EnvironmentStream> = (0..sensors)
-        .map(|i| EnvironmentStream::new(500 + i as u64))
-        .collect();
-    let mut ests: Vec<SensorEstimator> = (0..sensors)
-        .map(|i| SensorEstimator::new(cfg(i as u64)))
-        .collect();
-
-    for t in 0..(2 * window) {
-        for (i, (s, e)) in streams.iter_mut().zip(ests.iter_mut()).enumerate() {
-            let mut v = s.next_reading();
-            if i == 4 && t > window {
-                v[1] = 0.28; // stuck at the sensor's ceiling
-            }
-            e.observe(&v).expect("2-d reading");
+    let mut streams =
+        SensorStreams::generate(6, |i| EnvironmentStream::for_region(300, 400 + i as u64));
+    let mut source = move |node: NodeId, seq: u64| {
+        let mut v = streams.next_for(node.0 as usize);
+        if node == stuck && seq > 1_200 {
+            v[1] = 0.282;
         }
-    }
+        Some(v)
+    };
+    let net = run_monitor(topo, &cfg, SimConfig::default(), &mut source, 3_000)
+        .expect("valid monitor configuration");
 
-    // The leader gathers the children's models and compares them.
-    let models: Vec<_> = ests
-        .iter()
-        .map(|e| e.model().expect("estimators warmed up"))
-        .collect();
-    println!("pairwise JS-divergence from sensor 0:");
-    for (i, m) in models.iter().enumerate() {
-        let d = model_distance(&models[0], m, 24).expect("same dimensionality");
-        println!("  sensor {i}: {d:.4}");
+    // The leader compares each child's model with its siblings' and
+    // names the ones whose closest sibling is still far away.
+    let alarms = &net.app(net.topology().root()).alarms;
+    println!("fault alarms raised by the leader (sibling JS-divergence > 0.3):");
+    for a in alarms {
+        let secs = a.time_ns / 1_000_000_000;
+        println!(
+            "  t={secs:>5}s  sensor {}  divergence {:.4}",
+            a.child.0, a.divergence
+        );
     }
-
-    let flagged = detect_faulty_sensors(&models, 24, 0.25).expect("same dimensionality");
-    println!("\nflagged as faulty (min sibling divergence > 0.25): {flagged:?}");
-    assert_eq!(flagged, vec![4], "the stuck sensor should stand out");
+    assert!(!alarms.is_empty(), "the stuck sensor was never flagged");
+    assert!(
+        alarms.iter().all(|a| a.child == stuck),
+        "a healthy sensor was named"
+    );
 
     // Outlier-count alarm over the most recent 1,000 readings.
     let mut alarm = OutlierCountAlarm::new(1_000, 20, 0.1).expect("valid alarm");

@@ -24,8 +24,9 @@
 //! * [`core`] — the paper's algorithms D3 (distributed distance-based
 //!   deviation detection) and MGDD (multi-granular MDEF detection), the
 //!   centralized baseline and §9 applications. Every detector is a
-//!   [`core::DetectorBackend`] recipe (D3, MGDD, FQN, MMDEW) built and
-//!   run through [`core::build_backend_network`],
+//!   [`core::DetectorBackend`] recipe ([`core::D3Backend`],
+//!   [`core::MgddBackend`], [`core::FqnBackend`], [`core::MmdewBackend`],
+//!   [`core::CentralizedBackend`]) built and run through [`core::build_backend_network`],
 //!   [`core::build_backend_live`] and
 //!   [`core::run_backend_with_faults`]; D3 and FQN are one
 //!   [`core::ContainmentNode`] under two [`core::LeafRule`]s.

@@ -11,8 +11,8 @@
 //! The cut instant, the workload salt and the fault schedule are all
 //! drawn by proptest — the invariant must hold for *any* of them, not
 //! just curated cut points. Backends: D3, MGDD and the model monitor
-//! (the centralized baseline keeps no persistent distributed state and
-//! has no checkpoint surface). Drivers: the deterministic simulator and
+//! (the centralized baseline's resume is pinned by the CLI round trip
+//! and the driver-parity matrix). Drivers: the deterministic simulator and
 //! the live runtime; one extra case restores a *simulator* snapshot
 //! into a *live* runtime mid-run, which only works because the two
 //! produce byte-interchangeable checkpoints.

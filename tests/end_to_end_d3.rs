@@ -2,13 +2,13 @@
 //! data generators → estimators → distributed detection → simulator
 //! statistics.
 
-use sensor_outliers::core::pipeline::{Algorithm, OutlierPipeline, PipelineReport};
-use sensor_outliers::core::{D3Config, EstimatorConfig};
+use sensor_outliers::core::pipeline::{leaf_position, OutlierPipeline, PipelineReport};
+use sensor_outliers::core::{D3Backend, D3Config, DetectorBackend, EstimatorConfig};
 use sensor_outliers::data::{GaussianMixtureStream, SensorStreams};
 use sensor_outliers::outlier::DistanceOutlierConfig;
 use sensor_outliers::simnet::{NodeId, SimConfig};
 
-fn d3_pipeline(leaves: usize, seed: u64) -> OutlierPipeline {
+fn d3_pipeline(leaves: usize, seed: u64) -> OutlierPipeline<D3Backend> {
     let cfg = D3Config {
         estimator: EstimatorConfig::builder()
             .window(1_000)
@@ -22,19 +22,19 @@ fn d3_pipeline(leaves: usize, seed: u64) -> OutlierPipeline {
     // The simulator rejects fan-outs that leave a multi-root forest,
     // so the 16-leaf shape collapses 16 → 4 → 1 instead of 16 → 4 → 2.
     let fanouts: &[usize] = if leaves > 8 { &[4, 4] } else { &[4, 2] };
-    OutlierPipeline::balanced(leaves, fanouts, SimConfig::default(), Algorithm::D3(cfg)).unwrap()
+    OutlierPipeline::balanced(leaves, fanouts, SimConfig::default(), D3Backend(cfg)).unwrap()
 }
 
-fn run(pipeline: &OutlierPipeline, seed: u64, readings: u64) -> PipelineReport {
+fn run<B: DetectorBackend>(pipeline: &OutlierPipeline<B>, seed: u64, n: u64) -> PipelineReport {
     let topo = pipeline.topology().clone();
     let mut streams = SensorStreams::generate(topo.leaves().len(), |i| {
         GaussianMixtureStream::new(1, seed * 100 + i as u64)
     });
     let mut source = move |node: NodeId, _seq: u64| {
-        let leaf = OutlierPipeline::leaf_position(&topo, node)?;
+        let leaf = leaf_position(&topo, node)?;
         Some(streams.next_for(leaf))
     };
-    pipeline.run(&mut source, readings).unwrap()
+    pipeline.run(&mut source, n).unwrap()
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn sample_fraction_controls_upward_traffic() {
             rule: DistanceOutlierConfig::new(10.0, 0.01),
             sample_fraction: f,
         };
-        OutlierPipeline::balanced(8, &[4, 2], SimConfig::default(), Algorithm::D3(cfg)).unwrap()
+        OutlierPipeline::balanced(8, &[4, 2], SimConfig::default(), D3Backend(cfg)).unwrap()
     };
     let low = run(&make(0.25), 6, 2_000);
     let high = run(&make(1.0), 6, 2_000);
@@ -143,7 +143,10 @@ fn centralized_baseline_is_much_chattier_than_d3() {
         16,
         &[4, 4],
         SimConfig::default(),
-        Algorithm::Centralized(DistanceOutlierConfig::new(10.0, 0.01), 1_000),
+        sensor_outliers::core::CentralizedBackend {
+            rule: DistanceOutlierConfig::new(10.0, 0.01),
+            window_per_leaf: 1_000,
+        },
     )
     .unwrap();
     let cent_report = run(&cent, 7, 2_000);

@@ -2,8 +2,8 @@
 //! propagation, multi-granular detection, and the model-change update
 //! optimisation.
 
-use sensor_outliers::core::pipeline::{Algorithm, OutlierPipeline, PipelineReport};
-use sensor_outliers::core::{EstimatorConfig, MgddConfig, UpdateStrategy};
+use sensor_outliers::core::pipeline::{leaf_position, OutlierPipeline, PipelineReport};
+use sensor_outliers::core::{EstimatorConfig, MgddBackend, MgddConfig, UpdateStrategy};
 use sensor_outliers::outlier::MdefConfig;
 use sensor_outliers::simnet::{NodeId, SimConfig};
 
@@ -28,7 +28,7 @@ fn block_source(
     topo: sensor_outliers::simnet::Hierarchy,
 ) -> impl FnMut(NodeId, u64) -> Option<Vec<f64>> {
     move |node: NodeId, seq: u64| {
-        let leaf = OutlierPipeline::leaf_position(&topo, node)?;
+        let leaf = leaf_position(&topo, node)?;
         if leaf == 2 && seq % 200 == 150 {
             Some(vec![0.56])
         } else {
@@ -39,13 +39,11 @@ fn block_source(
 }
 
 fn run(updates: UpdateStrategy, levels: Vec<u8>, readings: u64) -> PipelineReport {
-    let pipeline = OutlierPipeline::balanced(
-        8,
-        &[4, 2],
-        SimConfig::default(),
-        Algorithm::Mgdd(mgdd_config(updates), levels),
-    )
-    .unwrap();
+    let backend = MgddBackend {
+        cfg: mgdd_config(updates),
+        broadcast_levels: levels,
+    };
+    let pipeline = OutlierPipeline::balanced(8, &[4, 2], SimConfig::default(), backend).unwrap();
     let topo = pipeline.topology().clone();
     let mut source = block_source(topo);
     pipeline.run(&mut source, readings).unwrap()

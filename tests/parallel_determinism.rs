@@ -4,8 +4,10 @@
 //! for both paper algorithms, on a fixed seed. See the `simnet` crate
 //! docs for why this holds by construction.
 
-use sensor_outliers::core::pipeline::{Algorithm, OutlierPipeline, PipelineReport};
-use sensor_outliers::core::{D3Config, EstimatorConfig, MgddConfig, UpdateStrategy};
+use sensor_outliers::core::pipeline::{OutlierPipeline, PipelineReport};
+use sensor_outliers::core::{
+    D3Backend, D3Config, DetectorBackend, EstimatorConfig, MgddBackend, MgddConfig, UpdateStrategy,
+};
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::simnet::{FaultPlan, LinkFault, NodeId, RetryPolicy, SimConfig};
 
@@ -29,17 +31,17 @@ fn estimator() -> EstimatorConfig {
         .unwrap()
 }
 
-/// Runs `alg` with the given worker count; synchronous reading phases
+/// Runs `backend` with the given worker count; synchronous reading phases
 /// and a lossy radio maximise batch sizes and make the loss-RNG draw
 /// order observable.
-fn run(alg: &Algorithm, workers: usize) -> PipelineReport {
+fn run<B: DetectorBackend>(backend: &B, workers: usize) -> PipelineReport {
     let sim = SimConfig {
         stagger_readings: false,
         ..SimConfig::default()
     }
     .with_drop_probability(0.05)
     .with_worker_threads(workers);
-    let p = OutlierPipeline::balanced(8, &[4, 2], sim, alg.clone()).unwrap();
+    let p = OutlierPipeline::balanced(8, &[4, 2], sim, backend.clone()).unwrap();
     let mut src = source;
     p.run(&mut src, 1_200).unwrap()
 }
@@ -48,7 +50,7 @@ fn run(alg: &Algorithm, workers: usize) -> PipelineReport {
 /// duplication) with the ack/retry protocol enabled — the post-pass RNG
 /// draws (loss, duplication, retry timers) must replay in the same
 /// order whatever the worker count.
-fn run_with_faults(alg: &Algorithm, workers: usize) -> PipelineReport {
+fn run_with_faults<B: DetectorBackend>(backend: &B, workers: usize) -> PipelineReport {
     let horizon_ns = 1_200 * 1_000_000_000;
     let sim = SimConfig {
         stagger_readings: false,
@@ -57,7 +59,7 @@ fn run_with_faults(alg: &Algorithm, workers: usize) -> PipelineReport {
     .with_drop_probability(0.05)
     .with_reliability(RetryPolicy::default())
     .with_worker_threads(workers);
-    let p = OutlierPipeline::balanced(8, &[4, 2], sim, alg.clone()).unwrap();
+    let p = OutlierPipeline::balanced(8, &[4, 2], sim, backend.clone()).unwrap();
     let victim = p.topology().leaves()[1];
     let plan = FaultPlan::none()
         .with_seed(77)
@@ -89,16 +91,16 @@ fn assert_identical(a: &PipelineReport, b: &PipelineReport) {
 
 #[test]
 fn mgdd_detections_are_identical_across_worker_counts() {
-    let alg = Algorithm::Mgdd(
-        MgddConfig {
+    let alg = MgddBackend {
+        cfg: MgddConfig {
             estimator: estimator(),
             rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
             sample_fraction: 0.5,
             updates: UpdateStrategy::EveryAcceptance,
             staleness_bound_ns: None,
         },
-        vec![],
-    );
+        broadcast_levels: vec![],
+    };
     let sequential = run(&alg, 1);
     assert!(
         sequential.total_detections() > 0,
@@ -110,7 +112,7 @@ fn mgdd_detections_are_identical_across_worker_counts() {
 
 #[test]
 fn d3_detections_are_identical_across_worker_counts() {
-    let alg = Algorithm::D3(D3Config {
+    let alg = D3Backend(D3Config {
         estimator: estimator(),
         rule: DistanceOutlierConfig::new(6.0, 0.05),
         sample_fraction: 0.5,
@@ -126,7 +128,7 @@ fn d3_detections_are_identical_across_worker_counts() {
 
 #[test]
 fn d3_is_identical_across_worker_counts_with_faults_and_retries() {
-    let alg = Algorithm::D3(D3Config {
+    let alg = D3Backend(D3Config {
         estimator: estimator(),
         rule: DistanceOutlierConfig::new(6.0, 0.05),
         sample_fraction: 0.5,
@@ -146,16 +148,16 @@ fn d3_is_identical_across_worker_counts_with_faults_and_retries() {
 
 #[test]
 fn mgdd_is_identical_across_worker_counts_with_faults_and_retries() {
-    let alg = Algorithm::Mgdd(
-        MgddConfig {
+    let alg = MgddBackend {
+        cfg: MgddConfig {
             estimator: estimator(),
             rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
             sample_fraction: 0.5,
             updates: UpdateStrategy::EveryAcceptance,
             staleness_bound_ns: Some(20_000_000_000),
         },
-        vec![],
-    );
+        broadcast_levels: vec![],
+    };
     let sequential = run_with_faults(&alg, 1);
     assert!(
         sequential.stats.dropped > 0,

@@ -295,8 +295,8 @@ pub(crate) fn epan_interval_unweighted_portable(
 /// frontier walk; per-query search costs `2·q·log n` — but not in equal
 /// units: a frontier step is a predictable compare-increment while a
 /// binary-search iteration is a data-dependent load whose branch
-/// mispredicts half the time, worth roughly 8 frontier steps on the
-/// BENCH_kde workloads. The weight below bakes that ratio in.
+/// mispredicts half the time, worth roughly 8 frontier steps (DESIGN.md
+/// §11.4). The weight below bakes that ratio in.
 ///
 /// Both paths feed the same evaluator with the same centre ranges, so
 /// the choice is purely a latency decision — results are bit-identical

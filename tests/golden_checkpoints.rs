@@ -1,5 +1,6 @@
 //! Golden checkpoint files: committed byte-for-byte snapshots of a
-//! small seeded D3 and MGDD run, pinned by three guards.
+//! small seeded run of each detector backend (D3, MGDD, FQN, MMDEW and
+//! the centralized baseline), pinned by three guards.
 //!
 //! 1. **Schema guard** — re-encoding the same deterministic state must
 //!    reproduce the committed bytes exactly. Any change to a `Persist`
@@ -18,9 +19,9 @@
 //! `SNOD_REGEN_GOLDENS=1 cargo test --test golden_checkpoints`
 
 use sensor_outliers::core::{
-    build_backend_network, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
-    EstimatorConfig, FqnBackend, FqnConfig, FqnNode, FqnPayload, MgddBackend, MgddConfig, MgddNode,
-    MgddPayload, MmdewBackend, MmdewNode, MmdewNodeConfig, MmdewPayload, UpdateStrategy,
+    build_backend_network, CentralizedBackend, D3Backend, D3Config, DetectorBackend,
+    EstimatorConfig, FqnBackend, FqnConfig, MgddBackend, MgddConfig, MmdewBackend,
+    MmdewNodeConfig, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::persist::{crc32, decode_checkpoint, FORMAT_VERSION, HEADER_LEN, MAGIC};
@@ -28,6 +29,7 @@ use sensor_outliers::simnet::{FaultPlan, Hierarchy, Network, NodeId, SimConfig};
 
 const READINGS: u64 = 300;
 const CUT_NS: u64 = 100 * 1_000_000_000;
+const GOLDENS: [&str; 5] = ["d3.ckpt", "mgdd.ckpt", "fqn.ckpt", "mmdew.ckpt", "centralized.ckpt"];
 
 pub fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -61,16 +63,15 @@ fn build<B: DetectorBackend>(backend: &B) -> Network<B::Payload, B::Engine> {
     build_backend_network(backend, topo(), SimConfig::default(), FaultPlan::none()).unwrap()
 }
 
-fn d3_net() -> Network<D3Payload, D3Node> {
-    let cfg = D3Config {
+fn d3() -> D3Backend {
+    D3Backend(D3Config {
         estimator: estimator(),
         rule: DistanceOutlierConfig::new(8.0, 0.02),
         sample_fraction: 0.5,
-    };
-    build(&D3Backend(cfg))
+    })
 }
 
-fn mgdd_net() -> Network<MgddPayload, MgddNode> {
+fn mgdd() -> MgddBackend {
     let cfg = MgddConfig {
         estimator: estimator(),
         rule: MdefConfig::new(0.08, 0.01, 3.0).unwrap(),
@@ -78,51 +79,41 @@ fn mgdd_net() -> Network<MgddPayload, MgddNode> {
         updates: UpdateStrategy::EveryAcceptance,
         staleness_bound_ns: Some(30_000_000_000),
     };
-    build(&MgddBackend {
+    MgddBackend {
         cfg,
         broadcast_levels: vec![],
-    })
+    }
 }
 
-fn fqn_net() -> Network<FqnPayload, FqnNode> {
-    let cfg = FqnConfig {
+fn fqn() -> FqnBackend {
+    FqnBackend(FqnConfig {
         dimensions: 1,
         window: 128,
         k_scale: 4.0,
         warmup: 32,
         sample_fraction: 0.5,
         seed: 21,
-    };
-    build(&FqnBackend(cfg))
+    })
 }
 
-fn mmdew_net() -> Network<MmdewPayload, MmdewNode> {
+fn mmdew() -> MmdewBackend {
     let mut cfg = MmdewNodeConfig::default();
     cfg.detector.seed = 21;
-    build(&MmdewBackend(cfg))
+    MmdewBackend(cfg)
+}
+
+/// The root warms up after 100 union readings (seq 25), so the golden
+/// carries its detections of the seq-42 spikes.
+fn centralized() -> CentralizedBackend {
+    CentralizedBackend {
+        rule: DistanceOutlierConfig::new(8.0, 0.05),
+        window_per_leaf: 50,
+    }
 }
 
 /// The checkpoint an interrupted run would have written at `CUT_NS`.
-fn fresh_d3_checkpoint() -> Vec<u8> {
-    let mut net = d3_net();
-    net.run_until(&mut source, READINGS, CUT_NS);
-    net.checkpoint()
-}
-
-fn fresh_mgdd_checkpoint() -> Vec<u8> {
-    let mut net = mgdd_net();
-    net.run_until(&mut source, READINGS, CUT_NS);
-    net.checkpoint()
-}
-
-fn fresh_fqn_checkpoint() -> Vec<u8> {
-    let mut net = fqn_net();
-    net.run_until(&mut source, READINGS, CUT_NS);
-    net.checkpoint()
-}
-
-fn fresh_mmdew_checkpoint() -> Vec<u8> {
-    let mut net = mmdew_net();
+fn fresh_checkpoint<B: DetectorBackend>(backend: &B) -> Vec<u8> {
+    let mut net = build(backend);
     net.run_until(&mut source, READINGS, CUT_NS);
     net.checkpoint()
 }
@@ -133,12 +124,15 @@ fn regenerating() -> bool {
 
 #[test]
 fn golden_bytes_are_stable_without_a_version_bump() {
-    for (name, fresh) in [
-        ("d3.ckpt", fresh_d3_checkpoint()),
-        ("mgdd.ckpt", fresh_mgdd_checkpoint()),
-        ("fqn.ckpt", fresh_fqn_checkpoint()),
-        ("mmdew.ckpt", fresh_mmdew_checkpoint()),
-    ] {
+    // In `GOLDENS` order.
+    let fresh = [
+        fresh_checkpoint(&d3()),
+        fresh_checkpoint(&mgdd()),
+        fresh_checkpoint(&fqn()),
+        fresh_checkpoint(&mmdew()),
+        fresh_checkpoint(&centralized()),
+    ];
+    for (name, fresh) in GOLDENS.into_iter().zip(fresh) {
         let path = golden_path(name);
         if regenerating() {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -160,7 +154,7 @@ fn golden_bytes_are_stable_without_a_version_bump() {
 
 #[test]
 fn golden_headers_carry_the_current_version() {
-    for name in ["d3.ckpt", "mgdd.ckpt", "fqn.ckpt", "mmdew.ckpt"] {
+    for name in GOLDENS {
         if regenerating() {
             continue;
         }
@@ -178,101 +172,52 @@ fn golden_headers_carry_the_current_version() {
     }
 }
 
-/// The CI resume-bit-identity smoke test: restore each golden in a
-/// fresh network and run to the end; the full trace must match an
+/// The CI resume-bit-identity smoke test: restore the golden `name` in
+/// a fresh network and run to the end; the full trace must match an
 /// uninterrupted run of the same seeded workload.
-#[test]
-fn golden_d3_resume_matches_uninterrupted_run() {
+fn assert_golden_resume_matches_uninterrupted_run<B: DetectorBackend>(backend: &B, name: &str) {
     if regenerating() {
         return;
     }
-    let bytes = std::fs::read(golden_path("d3.ckpt")).expect("golden exists");
-    let mut resumed = d3_net();
+    let bytes = std::fs::read(golden_path(name)).expect("golden exists");
+    let mut resumed = build(backend);
     resumed.restore(&bytes).unwrap();
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
-    let mut uninterrupted = d3_net();
+    let mut uninterrupted = build(backend);
     uninterrupted.run(&mut source, READINGS);
 
-    assert_eq!(uninterrupted.stats(), resumed.stats());
-    let traces = |net: &Network<D3Payload, D3Node>| -> Vec<(u32, usize)> {
-        net.apps().map(|(n, a)| (n.0, a.detections.len())).collect()
-    };
-    assert_eq!(traces(&uninterrupted), traces(&resumed));
-    for (node, app) in uninterrupted.apps() {
+    assert_eq!(uninterrupted.stats(), resumed.stats(), "{name}");
+    for (node, engine) in uninterrupted.apps() {
         assert_eq!(
-            app.detections,
-            resumed.app(node).detections,
-            "node {node:?} diverged after golden resume"
+            B::detections(engine),
+            B::detections(resumed.app(node)),
+            "{name}: node {node:?} diverged after golden resume"
         );
     }
+}
+
+#[test]
+fn golden_d3_resume_matches_uninterrupted_run() {
+    assert_golden_resume_matches_uninterrupted_run(&d3(), "d3.ckpt");
 }
 
 #[test]
 fn golden_mgdd_resume_matches_uninterrupted_run() {
-    if regenerating() {
-        return;
-    }
-    let bytes = std::fs::read(golden_path("mgdd.ckpt")).expect("golden exists");
-    let mut resumed = mgdd_net();
-    resumed.restore(&bytes).unwrap();
-    resumed.run_until(&mut source, READINGS, u64::MAX);
-
-    let mut uninterrupted = mgdd_net();
-    uninterrupted.run(&mut source, READINGS);
-
-    assert_eq!(uninterrupted.stats(), resumed.stats());
-    for (node, app) in uninterrupted.apps() {
-        assert_eq!(
-            app.detections,
-            resumed.app(node).detections,
-            "node {node:?} diverged after golden resume"
-        );
-    }
+    assert_golden_resume_matches_uninterrupted_run(&mgdd(), "mgdd.ckpt");
 }
 
 #[test]
 fn golden_fqn_resume_matches_uninterrupted_run() {
-    if regenerating() {
-        return;
-    }
-    let bytes = std::fs::read(golden_path("fqn.ckpt")).expect("golden exists");
-    let mut resumed = fqn_net();
-    resumed.restore(&bytes).unwrap();
-    resumed.run_until(&mut source, READINGS, u64::MAX);
-
-    let mut uninterrupted = fqn_net();
-    uninterrupted.run(&mut source, READINGS);
-
-    assert_eq!(uninterrupted.stats(), resumed.stats());
-    for (node, app) in uninterrupted.apps() {
-        assert_eq!(
-            app.detections,
-            resumed.app(node).detections,
-            "node {node:?} diverged after golden resume"
-        );
-    }
+    assert_golden_resume_matches_uninterrupted_run(&fqn(), "fqn.ckpt");
 }
 
 #[test]
 fn golden_mmdew_resume_matches_uninterrupted_run() {
-    if regenerating() {
-        return;
-    }
-    let bytes = std::fs::read(golden_path("mmdew.ckpt")).expect("golden exists");
-    let mut resumed = mmdew_net();
-    resumed.restore(&bytes).unwrap();
-    resumed.run_until(&mut source, READINGS, u64::MAX);
+    assert_golden_resume_matches_uninterrupted_run(&mmdew(), "mmdew.ckpt");
+}
 
-    let mut uninterrupted = mmdew_net();
-    uninterrupted.run(&mut source, READINGS);
-
-    assert_eq!(uninterrupted.stats(), resumed.stats());
-    for (node, app) in uninterrupted.apps() {
-        assert_eq!(
-            app.detections,
-            resumed.app(node).detections,
-            "node {node:?} diverged after golden resume"
-        );
-    }
+#[test]
+fn golden_centralized_resume_matches_uninterrupted_run() {
+    assert_golden_resume_matches_uninterrupted_run(&centralized(), "centralized.ckpt");
 }

@@ -4,9 +4,9 @@
 //! the committed golden bytes and the error class it must map to.
 
 use sensor_outliers::core::{
-    build_backend_network, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
-    EstimatorConfig, FqnBackend, FqnConfig, FqnNode, FqnPayload, MmdewBackend, MmdewNode,
-    MmdewNodeConfig, MmdewPayload,
+    build_backend_network, CentralizedBackend, CentralizedNode, CentralizedPayload, D3Backend,
+    D3Config, D3Node, D3Payload, DetectorBackend, EstimatorConfig, FqnBackend, FqnConfig, FqnNode,
+    FqnPayload, MmdewBackend, MmdewNode, MmdewNodeConfig, MmdewPayload,
 };
 use sensor_outliers::outlier::DistanceOutlierConfig;
 use sensor_outliers::persist::{
@@ -169,6 +169,13 @@ fn mmdew_net() -> Network<MmdewPayload, MmdewNode> {
     build(&MmdewBackend(cfg))
 }
 
+fn centralized_net() -> Network<CentralizedPayload, CentralizedNode> {
+    build(&CentralizedBackend {
+        rule: DistanceOutlierConfig::new(8.0, 0.05),
+        window_per_leaf: 50,
+    })
+}
+
 fn source(node: NodeId, seq: u64) -> Option<Vec<f64>> {
     let h = node.0 as u64 * 1_000_003 + seq * 7_919;
     Some(vec![0.3 + 0.2 * ((h % 1_000) as f64 / 1_000.0)])
@@ -225,6 +232,13 @@ fn fqn_golden_survives_the_same_gauntlet() {
 #[test]
 fn mmdew_golden_survives_the_same_gauntlet() {
     run_gauntlet("mmdew", golden("mmdew.ckpt"), |b| mmdew_net().restore(b));
+}
+
+#[test]
+fn centralized_golden_survives_the_same_gauntlet() {
+    run_gauntlet("centralized", golden("centralized.ckpt"), |b| {
+        centralized_net().restore(b)
+    });
 }
 
 #[test]

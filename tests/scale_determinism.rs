@@ -1,8 +1,9 @@
 //! Determinism at scale: the arena/slab event queue, the CSR
 //! hierarchy and the reusable dispatch-batch buffers must not change
 //! a single bit of behaviour at 10,000 leaves — sequential vs
-//! parallel engines stay bit-identical, and a checkpoint taken
-//! mid-run resumes into the exact state of an uninterrupted run.
+//! parallel engines stay bit-identical — and a checkpoint taken
+//! mid-run at 10,000 or 50,000 leaves resumes into the exact state of
+//! an uninterrupted run.
 //!
 //! The detector here is a cheap counting relay (no KDE work), so the
 //! suite exercises the *dispatch machinery* — queue ordering, batch
@@ -56,8 +57,8 @@ const LEAVES: usize = 10_000;
 const TIERS: usize = 5;
 const READINGS: u64 = 3;
 
-fn build(workers: usize) -> Network<Vec<f64>, Relay> {
-    let topo = Hierarchy::deep(LEAVES, TIERS).expect("deep topology");
+fn build(leaves: usize, workers: usize) -> Network<Vec<f64>, Relay> {
+    let topo = Hierarchy::deep(leaves, TIERS).expect("deep topology");
     // Synchronous readings maximise same-instant batch sizes (the
     // parallel engine's hardest case) and a lossy radio makes the
     // loss-RNG draw order observable in the stats.
@@ -76,8 +77,8 @@ fn source(node: NodeId, seq: u64) -> Option<Vec<f64>> {
 
 #[test]
 fn sequential_vs_parallel_bit_identity_at_10k_leaves() {
-    let mut seq_net = build(1);
-    let mut par_net = build(4);
+    let mut seq_net = build(LEAVES, 1);
+    let mut par_net = build(LEAVES, 4);
     let mut src = source;
     seq_net.run(&mut src, READINGS);
     let mut src = source;
@@ -104,29 +105,37 @@ fn sequential_vs_parallel_bit_identity_at_10k_leaves() {
 }
 
 #[test]
-fn checkpoint_round_trip_at_10k_leaves() {
-    let period = SimConfig::default().reading_period_ns;
+fn checkpoint_round_trip_at_10k_and_50k_leaves() {
+    let sim = SimConfig::default();
+    // (leaves, readings per leaf, cut): 10k leaves stop after the first
+    // reading wave; 50k leaves read once and stop with that wave one hop
+    // up the tree.
+    for (leaves, readings, cut_ns) in [
+        (LEAVES, READINGS, sim.reading_period_ns),
+        (50_000, 1, sim.link_latency_ns),
+    ] {
+        // Uninterrupted reference run (parallel).
+        let mut full = build(leaves, 4);
+        let mut src = source;
+        full.run(&mut src, readings);
 
-    // Uninterrupted reference run (parallel).
-    let mut full = build(4);
-    let mut src = source;
-    full.run(&mut src, READINGS);
+        // Interrupted run: stop at the cut, checkpoint, restore into a
+        // freshly built network, finish there.
+        let mut first = build(leaves, 4);
+        let mut src = source;
+        first.run_until(&mut src, readings, cut_ns);
+        let bytes = first.checkpoint();
+        assert_ne!(bytes, full.checkpoint(), "{leaves} leaves: the cut must fall mid-run");
 
-    // Interrupted run: stop after the first reading wave, checkpoint,
-    // restore into a freshly built network, finish there.
-    let mut first = build(4);
-    let mut src = source;
-    first.run_until(&mut src, READINGS, period);
-    let bytes = first.checkpoint();
+        let mut resumed = build(leaves, 2);
+        resumed.restore(&bytes).expect("checkpoint restores");
+        let mut src = source;
+        resumed.run(&mut src, readings);
 
-    let mut resumed = build(2);
-    resumed.restore(&bytes).expect("checkpoint restores");
-    let mut src = source;
-    resumed.run(&mut src, READINGS);
-
-    assert_eq!(
-        full.checkpoint(),
-        resumed.checkpoint(),
-        "resumed run must be bit-identical to the uninterrupted one"
-    );
+        assert_eq!(
+            full.checkpoint(),
+            resumed.checkpoint(),
+            "{leaves} leaves: resumed run must be bit-identical to the uninterrupted one"
+        );
+    }
 }

@@ -26,8 +26,8 @@
 //!
 //! On top of the fault ladder, [`run_backend_parity`] is the **sim-vs-live
 //! differential suite**: the same recorded reading trace is replayed
-//! through the sequential simulator, the parallel simulator and the
-//! wall-clock [`snod_simnet::LiveRuntime`] (virtual clock), and the
+//! through the simulator at one worker, the simulator at four workers
+//! and the [`snod_simnet::LiveRuntime`], and the
 //! outcomes — outlier escalation sequences, every [`NetStats`] counter
 //! and the complete checkpoint bytes (which hold every engine's model
 //! state, maintenance epochs included) — must be `==` across all three.
@@ -468,15 +468,15 @@ impl BackendParityReport {
 /// [`DetectorBackend`] recipe: for every seed and fault setting, the
 /// identical reading trace is replayed through three drivers —
 ///
-/// 1. the **sequential simulator** (records the trace and serves as the
-///    reference),
-/// 2. the **parallel simulator** (4 workers), and
-/// 3. the **live runtime** (one worker thread per node, virtual clock),
+/// 1. the **simulator** under `sim` (records the trace and serves as
+///    the reference),
+/// 2. the **simulator on a 4-thread worker pool**, and
+/// 3. the **live runtime** under `sim`,
 ///
 /// asserting that the stats, the per-node detection sequences and the
 /// checkpoint bytes are all `==`. This is the executable form of the
-/// engine crate's driver contract: all three drivers run the same
-/// pre/post-phase protocol code around the same
+/// engine crate's driver contract: all three runs go through the same
+/// batch loop around the same
 /// [`snod_simnet::DetectorEngine`] callbacks, so nothing observable may
 /// depend on which runtime hosts the engines.
 ///
@@ -506,7 +506,7 @@ where
                 FaultPlan::none()
             };
 
-            // Reference pass: the sequential simulator, recording the
+            // Reference pass: the simulator under `sim`, recording the
             // trace it actually ingested.
             let bank = BankSource::new(
                 SensorStreams::generate(leaves, |leaf| make_stream(seed, leaf)),
@@ -523,7 +523,7 @@ where
             );
             let trace = recorder.into_trace();
 
-            // Replay 1: parallel simulator on the recorded trace.
+            // Replay 1: the simulator on a worker pool, same trace.
             let mut replay: ReadingTrace = trace.clone();
             let par_outcome = sim_outcome(
                 backend,

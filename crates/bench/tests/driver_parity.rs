@@ -1,6 +1,6 @@
 //! Sim-vs-live differential conformance: the same recorded reading
-//! trace replayed through the sequential simulator, the parallel
-//! simulator and the live runtime must produce identical outlier
+//! trace replayed through the simulator at one and at four workers and
+//! the live runtime must produce identical outlier
 //! escalations, NetStats counters and checkpoint bytes (model epochs
 //! included) — for every backend, across seeds, with and without fault
 //! injection.

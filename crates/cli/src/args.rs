@@ -107,7 +107,7 @@ pub struct SimulateArgs {
     /// replay bit-identically to the run the snapshot was taken from.
     pub resume_from: Option<String>,
     /// Which runtime drives the engines: "sim" (event-driven simulator)
-    /// or "live" (one worker thread per node, virtual clock).
+    /// or "live" (the streaming runtime; same loop, no restart policies).
     pub driver: String,
     /// Write the reading trace the run ingested to this CSV file.
     pub record: Option<String>,
@@ -227,7 +227,7 @@ SIMULATE OPTIONS:
   --resume-from F   restore checkpoint F before running; the remaining
                     readings replay bit-identically to the original run
   --driver D        sim | live (default sim): the event-driven simulator
-                    or the live runtime (one worker thread per node);
+                    or the streaming live runtime (the same event loop);
                     fed the same trace, both produce identical results
   --record F        write the ingested reading trace to F (CSV)
   --replay F        feed readings from trace F instead of the synthetic

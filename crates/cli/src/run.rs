@@ -267,8 +267,8 @@ fn simulate_with<B: DetectorBackend>(
         },
         record: args.record.as_ref().map(|_| ReadingTrace::new()),
     };
-    // The live runtime drives real worker threads per node; it has no
-    // checkpoint schedule, so those flags were rejected upstream.
+    // The live runtime has no checkpoint schedule, so those flags were
+    // rejected upstream.
     let report = if args.driver == "live" {
         pipeline.run_live(&mut source, args.readings)
     } else {

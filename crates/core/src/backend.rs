@@ -15,7 +15,7 @@
 //! engine per node (seed-decorrelated via the node id) and how to read
 //! the detections back out. The free functions [`build_backend_network`]
 //! and [`build_backend_live`] turn a recipe into the simulated or the
-//! wall-clock runtime over identical engines — the pairing the
+//! live runtime over identical engines — the pairing the
 //! driver-parity suites pin bit-for-bit.
 
 use snod_outlier::DistanceOutlierConfig;
@@ -281,7 +281,7 @@ pub fn build_backend_network<B: DetectorBackend>(
     Ok(Network::new(topo, sim, |node, topo| backend.make_engine(node, topo)).with_fault_plan(plan))
 }
 
-/// Builds the live (wall-clock) runtime over the identical engines.
+/// Builds the live (streaming) runtime over the identical engines.
 pub fn build_backend_live<B: DetectorBackend>(
     backend: &B,
     topo: Hierarchy,

@@ -25,7 +25,7 @@
 //!   ([`D3Backend`], [`MgddBackend`], [`FqnBackend`], [`MmdewBackend`],
 //!   [`CentralizedBackend`]). [`build_backend_network`],
 //!   [`build_backend_live`] and [`run_backend_with_faults`] turn any
-//!   recipe into the simulated or the wall-clock runtime — the one way
+//!   recipe into the simulated or the live runtime — the one way
 //!   to build and run a detector.
 //! * [`MonitorNode`] / [`run_monitor`] and [`apps`] — the Section 9
 //!   applications: faulty sensor detection via model divergence and

@@ -165,9 +165,9 @@ impl<B: DetectorBackend> OutlierPipeline<B> {
         ))
     }
 
-    /// [`Self::run`] on the live runtime — real worker threads per node
-    /// over the identical engines, bit-identical to the simulator on the
-    /// same readings. It has no checkpoint schedule.
+    /// [`Self::run`] on the live runtime — the same event loop over the
+    /// identical engines, bit-identical to the simulator on the same
+    /// readings. It has no checkpoint schedule.
     pub fn run_live<S: StreamSource>(
         &self,
         source: &mut S,

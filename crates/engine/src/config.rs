@@ -30,11 +30,13 @@ pub struct SimConfig {
     /// bit-identical to one without the protocol.
     pub reliability: Option<RetryPolicy>,
     /// Worker threads running same-instant callbacks on *different*
-    /// nodes concurrently. `1` (the default) forces the classic
-    /// single-threaded engine; `0` means one worker per core. Results
-    /// are bit-identical at every setting — see the crate docs for the
-    /// determinism argument. Parallelism only pays off when many nodes
-    /// act at the same instant (e.g. `stagger_readings = false`).
+    /// nodes concurrently, in both drivers (the simulator's `Network`
+    /// and the [`crate::LiveRuntime`]). `1` (the default) runs every
+    /// callback inline on the calling thread; `0` means one worker per
+    /// core. Results are bit-identical at every setting — see
+    /// [`crate::protocol`] for the determinism argument. Parallelism
+    /// only pays off when many nodes act at the same instant (e.g.
+    /// `stagger_readings = false`).
     pub worker_threads: usize,
 }
 
@@ -61,7 +63,7 @@ impl SimConfig {
     }
 
     /// Returns a copy with the given worker-thread count (`0` = one per
-    /// core, `1` = single-threaded).
+    /// core, `1` = inline on the calling thread).
     pub fn with_worker_threads(mut self, n: usize) -> Self {
         self.worker_threads = n;
         self

@@ -18,29 +18,32 @@
 //!   callback: hierarchy links (parent/children), buffered sends,
 //!   degradation counters and timer arming. Drivers construct it,
 //!   collect it, and replay its side effects deterministically.
-//! * [`protocol`] — the shared *driver core*: event classification (the
-//!   pre phase) and side-effect replay (the post phase), including the
-//!   ack/retry protocol, the fault layer, per-node RNG streams and all
-//!   traffic/energy accounting. Both the simulator (`snod-simnet`'s
-//!   `Network`) and the [`LiveRuntime`] here run this exact code, which
-//!   is the backbone of the sim-vs-live equivalence argument.
-//! * [`LiveRuntime`] — a streaming driver: one lightweight worker per
-//!   node fed by bounded channels, a monotonic-clock timer wheel
-//!   (the [`EventQueue`] keyed by stream time), and replayable input
-//!   adapters ([`trace::ReadingTrace`] CSV traces or any
-//!   [`StreamSource`]).
+//! * [`protocol`] — the shared *driver core*: the one batch loop
+//!   ([`protocol::Runner`]) with its pre phase (event classification),
+//!   callback phase (inline, or on a worker pool) and post phase
+//!   (side-effect replay), including the ack/retry protocol, the fault
+//!   layer, the restart machinery, per-node RNG streams, all
+//!   traffic/energy accounting and the checkpoint codec. Both the
+//!   simulator (`snod-simnet`'s `Network`) and the [`LiveRuntime`] here
+//!   wrap it, which is the backbone of the sim-vs-live equivalence
+//!   argument.
+//! * [`LiveRuntime`] — a streaming driver advanced in slices of stream
+//!   time ([`LiveRuntime::run_slice`]), fed by any [`StreamSource`] —
+//!   the [`IngestBuffer`] of a daemon, or a replayable
+//!   [`trace::ReadingTrace`] CSV trace.
 //!
 //! ## The driver contract
 //!
-//! Every driver must deliver callbacks to one node in a single total
-//! order, replay the protocol's side effects (sends, acks, retries,
-//! timers, RNG draws, statistics) in event order, and timestamp
-//! callbacks with a monotone `time_ns`. Under that contract two drivers
-//! fed the same replayable inputs produce **bit-identical** outcomes:
-//! the same escalations, the same model epochs, the same [`NetStats`],
-//! and the same checkpoint bytes. The differential conformance suite in
-//! `snod-bench` pins exactly this property between the simulator and
-//! the [`LiveRuntime`], with and without fault injection.
+//! The one loop delivers callbacks to each node in a single total
+//! order, replays the protocol's side effects (sends, acks, retries,
+//! timers, RNG draws, statistics) in event order, and timestamps
+//! callbacks with a monotone `time_ns`. So the two drivers, fed the same
+//! replayable inputs, produce **bit-identical** outcomes at any
+//! [`SimConfig::worker_threads`]: the same escalations, the same model
+//! epochs, the same [`NetStats`], and the same checkpoint bytes. The
+//! differential conformance suite in `snod-bench` pins exactly this
+//! property between the simulator and the [`LiveRuntime`], with and
+//! without fault injection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,14 +63,14 @@ mod topology;
 pub mod trace;
 
 pub use config::{SimConfig, StreamSource};
-pub use detector::{CtxOut, DetectorEngine, EngineCtx};
+pub use detector::{DetectorEngine, EngineCtx};
 pub use energy::EnergyModel;
 pub use event::{Event, EventQueue};
 pub use fault::{
     BurstLoss, CrashWindow, DropoutWindow, FaultPlan, LinkFault, RestartPolicy, RetryPolicy,
 };
 pub use ingest::{IngestBuffer, PushOutcome};
-pub use live::{Clock, LiveRuntime, MonotonicClock, VirtualClock};
+pub use live::LiveRuntime;
 pub use message::{Envelope, Wire, ACK_BYTES, HEADER_BYTES, MSG_ID_BYTES};
 pub use node::{Location, NodeId, NodeRole};
 pub use protocol::EngineState;

@@ -15,7 +15,8 @@
 //! and the driver-parity matrix). Drivers: the deterministic simulator and
 //! the live runtime; one extra case restores a *simulator* snapshot
 //! into a *live* runtime mid-run, which only works because the two
-//! produce byte-interchangeable checkpoints.
+//! produce byte-interchangeable checkpoints, and one runs the live
+//! runtime on a four-thread worker pool.
 
 use proptest::prelude::*;
 
@@ -24,9 +25,7 @@ use sensor_outliers::core::{
     MgddConfig, MonitorConfig, MonitorNode, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
-use sensor_outliers::simnet::{
-    FaultPlan, Hierarchy, LiveRuntime, Network, NodeId, SimConfig, VirtualClock,
-};
+use sensor_outliers::simnet::{FaultPlan, Hierarchy, LiveRuntime, Network, NodeId, SimConfig};
 
 const READINGS: u64 = 360;
 const HORIZON_NS: u64 = READINGS * 1_000_000_000;
@@ -133,8 +132,7 @@ macro_rules! sim_split_equals_straight {
     }};
 }
 
-/// The same property under the live runtime (virtual clock, per-node
-/// worker threads).
+/// The same property under the live runtime, sliced with `run_slice`.
 macro_rules! live_split_equals_straight {
     ($make:expr, $salt:expr, $cut:expr) => {{
         let mut src = source_with($salt);
@@ -143,11 +141,11 @@ macro_rules! live_split_equals_straight {
         let expect = straight.checkpoint();
 
         let mut first = $make;
-        first.run_until(&mut src, READINGS, $cut, &mut VirtualClock);
+        first.run_slice(&mut src, READINGS, $cut);
         let snap = first.checkpoint();
         let mut resumed = $make;
         resumed.restore(&snap).expect("snapshot restores");
-        resumed.run_until(&mut src, READINGS, u64::MAX, &mut VirtualClock);
+        resumed.run_slice(&mut src, READINGS, u64::MAX);
         prop_assert_eq!(
             expect,
             resumed.checkpoint(),
@@ -255,11 +253,49 @@ proptest! {
         let mut live =
             build_backend_live(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap();
         live.restore(&snap).expect("a simulator snapshot restores into a live runtime");
-        live.run_until(&mut src, READINGS, u64::MAX, &mut VirtualClock);
+        live.run_slice(&mut src, READINGS, u64::MAX);
         prop_assert_eq!(
             expect,
             live.checkpoint(),
             "cross-driver resume diverged (salt {}, cut {})",
+            salt,
+            cut
+        );
+    }
+
+    #[test]
+    fn pooled_live_runtime_resumes_onto_the_inline_simulator_bytes(
+        salt in 0u64..1_000,
+        cut_frac in 0.15f64..0.85,
+        faulted in 0u32..2,
+    ) {
+        // The live runtime honours `worker_threads`: a four-thread pool
+        // on synchronous readings (so batches hold many nodes), cut and
+        // restored mid-run, lands on the inline simulator's bytes.
+        let cut = (HORIZON_NS as f64 * cut_frac) as u64;
+        let plan = plan_from(faulted == 1, salt);
+        let inline = SimConfig {
+            stagger_readings: false,
+            ..SimConfig::default()
+        };
+        let pooled = inline.with_worker_threads(4);
+        let mut src = source_with(salt);
+
+        let mut straight =
+            build_backend_network(&mgdd_backend(), topo(), inline, plan.clone()).unwrap();
+        straight.run(&mut src, READINGS);
+        let expect = straight.checkpoint();
+
+        let mut first = build_backend_live(&mgdd_backend(), topo(), pooled, plan.clone()).unwrap();
+        first.run_slice(&mut src, READINGS, cut);
+        let snap = first.checkpoint();
+        let mut resumed = build_backend_live(&mgdd_backend(), topo(), pooled, plan.clone()).unwrap();
+        resumed.restore(&snap).expect("snapshot restores");
+        resumed.run_slice(&mut src, READINGS, u64::MAX);
+        prop_assert_eq!(
+            expect,
+            resumed.checkpoint(),
+            "pooled live resume diverged (salt {}, cut {})",
             salt,
             cut
         );

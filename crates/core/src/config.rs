@@ -117,10 +117,19 @@ impl RebuildPolicy {
         if built.len() != current.len() {
             return true;
         }
-        built.iter().zip(current).any(|(&b, &s)| {
-            let denom = b.abs().max(f64::EPSILON);
-            ((s - b) / denom).abs() > self.sigma_tolerance
-        })
+        built
+            .iter()
+            .zip(current)
+            .any(|(&b, &s)| Self::sigma_drift(b, s) > self.sigma_tolerance)
+    }
+
+    /// Relative drift of one dimension's σ from the `built` one. The
+    /// estimator's interval test evaluates this same expression at the
+    /// ends of σ's interval; each operation rounds monotonically, so the
+    /// drift of any σ between the ends lies between theirs.
+    pub(crate) fn sigma_drift(built: f64, sigma: f64) -> f64 {
+        let denom = built.abs().max(f64::EPSILON);
+        ((sigma - built) / denom).abs()
     }
 
     /// The epoch decision: rebuild when the push budget is exhausted or

@@ -18,7 +18,7 @@ use snod_outlier::{DistanceOutlierConfig, MdefConfig, MdefDetector, MdefEvaluati
 use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
 use snod_sketch::{ChainSampler, WindowedVariance};
 
-use crate::config::{CoreError, EstimatorConfig};
+use crate::config::{CoreError, EstimatorConfig, RebuildPolicy};
 
 /// A materialised density model — the 1-d fast path or the generic
 /// d-dimensional product-kernel estimator.
@@ -308,24 +308,29 @@ impl SensorEstimator {
     /// error (see the policy's documentation). A rebuild is exact — at
     /// every epoch boundary this returns precisely what [`Self::model`]
     /// builds from scratch.
+    ///
+    /// The decision is the policy's `should_rebuild` on exact σ, but σ is
+    /// folded only for a rebuild or when σ's interval cannot settle the
+    /// drift test (DESIGN §7.2).
     pub fn cached_model(&mut self) -> Result<&SensorModel, CoreError> {
         if self.observed == 0 {
             return Err(CoreError::NoData);
         }
         let version = self.sampler.version();
-        let sigmas = self.sigmas();
+        let policy = self.cfg.rebuild;
+        let mut exact = None;
         // With an unchanged sample (pushes = 0) only σ drift can force a
         // rebuild — the streaming σ moves on every reading even when the
         // chain sample does not.
         let rebuild = match &self.cached {
             None => true,
-            Some(c) => {
-                let pushes = version.wrapping_sub(c.version);
-                self.cfg.rebuild.should_rebuild(pushes, &c.built_sigmas, &sigmas)
-            }
+            Some(c) if version.wrapping_sub(c.version) >= policy.rebuild_every => true,
+            Some(c) if self.drift_settled(&c.built_sigmas) => false,
+            Some(c) => policy.sigma_drift_exceeded(&c.built_sigmas, exact.insert(self.sigmas())),
         };
         if rebuild {
             let _rebuild = snod_obs::span!("core.model.rebuild");
+            let sigmas = exact.unwrap_or_else(|| self.sigmas());
             let model = self.build_model(&sigmas)?;
             self.cached = Some(ModelCache {
                 version,
@@ -338,6 +343,19 @@ impl SensorEstimator {
             snod_obs::counter!("core.model.cache_hits").incr();
         }
         Ok(&self.cached.as_ref().expect("cache just filled").model)
+    }
+
+    /// Whether every dimension's drift from `built` is within tolerance at
+    /// both ends of σ's interval, `√` of the variance interval's clamped
+    /// ends: then no σ inside it exceeds the tolerance either.
+    fn drift_settled(&self, built: &[f64]) -> bool {
+        let tolerance = self.cfg.rebuild.sigma_tolerance;
+        let within = |b, var: f64| RebuildPolicy::sigma_drift(b, var.max(0.0).sqrt()) <= tolerance;
+        built.len() == self.variances.len()
+            && self.variances.iter().zip(built).all(|(wv, &b)| {
+                wv.variance_interval()
+                    .is_some_and(|(lo, hi)| within(b, lo) && within(b, hi))
+            })
     }
 
     /// Completed full rebuilds of the epoch cache (diagnostics; lets

@@ -1233,11 +1233,6 @@ impl<P: Wire, A: DetectorEngine<P>> Runner<P, A> {
         &self.state
     }
 
-    /// Replaces the default energy model.
-    pub fn set_energy_model(&mut self, model: EnergyModel) {
-        self.energy = model;
-    }
-
     /// Schedules `node` to fail permanently at `time_ns`.
     pub fn schedule_failure(&mut self, node: NodeId, time_ns: u64) {
         self.state.failures.push((time_ns, node));

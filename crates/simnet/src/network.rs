@@ -23,8 +23,8 @@ use snod_persist::{Persist, PersistError};
 
 use snod_engine::protocol::Runner;
 use snod_engine::{
-    DetectorEngine, EnergyModel, FaultPlan, Hierarchy, NetStats, NodeId, RestartPolicy, SimConfig,
-    StreamSource, Wire,
+    DetectorEngine, FaultPlan, Hierarchy, NetStats, NodeId, RestartPolicy, SimConfig, StreamSource,
+    Wire,
 };
 
 /// A running simulation: topology + per-node engines + event queue.
@@ -80,12 +80,6 @@ impl<P: Wire, A: DetectorEngine<P>> Network<P, A> {
     /// Whether `node` has failed.
     pub fn is_dead(&self, node: NodeId) -> bool {
         self.core.state().dead[node.index()]
-    }
-
-    /// Replaces the default energy model.
-    pub fn with_energy_model(mut self, model: EnergyModel) -> Self {
-        self.core.set_energy_model(model);
-        self
     }
 
     /// The fault-decision log: one line per crash, missed reading,

@@ -3,7 +3,9 @@
 //! `Reference`): after every push the persisted buckets must be
 //! byte-identical and `variance()` / `mean()` bit-identical, across
 //! window sizes, ε, stream shapes and magnitudes from subnormal to
-//! overflowing, and across a `save`/`load` round trip mid-stream.
+//! overflowing, and across a `save`/`load` round trip mid-stream. The
+//! O(1) `variance_interval()` must contain `variance()` whenever it
+//! answers.
 
 use std::collections::VecDeque;
 
@@ -219,10 +221,19 @@ fn check(window: usize, eps: f64, name: &str, xs: &[f64]) {
             "mean — {}",
             ctx()
         );
+        if let Some((lo, hi)) = wv.variance_interval() {
+            let v = wv.variance();
+            assert!(
+                lo <= v && v <= hi,
+                "variance {v:e} outside [{lo:e}, {hi:e}] — {}",
+                ctx()
+            );
+        }
         if t == xs.len() / 2 {
             let restored = WindowedVariance::from_bytes(&wv.to_bytes());
             if reference.loadable() {
                 wv = restored.unwrap_or_else(|e| panic!("reload failed ({e:?}) — {}", ctx()));
+                assert!(wv.variance_interval().is_none(), "stale filter — {}", ctx());
             } else {
                 assert!(restored.is_err(), "non-finite moments loaded — {}", ctx());
             }

@@ -24,22 +24,19 @@
 //! of a severity ladder, scoring precision/recall per level against the
 //! captured ground truth.
 //!
-//! On top of the fault ladder, [`run_backend_parity`] is the **sim-vs-live
-//! differential suite**: the same recorded reading trace is replayed
-//! through the simulator at one worker, the simulator at four workers
-//! and the [`snod_simnet::LiveRuntime`], and the
+//! On top of the fault ladder, [`run_backend_parity`] is the **1-vs-4
+//! worker differential suite**: the reading trace one inline run
+//! recorded is replayed on a four-thread callback pool, and the
 //! outcomes — outlier escalation sequences, every [`NetStats`] counter
 //! and the complete checkpoint bytes (which hold every engine's model
-//! state, maintenance epochs included) — must be `==` across all three.
-//! This pins the engine crate's driver contract: the detector engines
-//! are pure state machines, and every observable side effect is produced
-//! by shared protocol code executed in the same order by every driver.
+//! state, maintenance epochs included) — must be `==`. This pins the
+//! engine crate's driver contract: the detector engines are pure state
+//! machines, and every observable side effect is produced by the loop's
+//! post phase in the same order wherever the callbacks run.
 
 use std::collections::HashSet;
 
-use snod_core::{
-    build_backend_live, run_backend_with_faults, D3Backend, D3Config, Detection, DetectorBackend,
-};
+use snod_core::{run_backend_with_faults, D3Backend, D3Config, Detection, DetectorBackend};
 use snod_data::{DataStream, SensorStreams};
 use snod_outlier::{MdefConfig, PrecisionRecall};
 use snod_simnet::{
@@ -82,26 +79,22 @@ impl ConformanceConfig {
     }
 }
 
-/// Everything one driver run produced that bit-identity cares about.
-/// Two drivers are conformant exactly when their outcomes are `==`.
+/// Everything one run produced that bit-identity cares about. Two runs
+/// are conformant exactly when their outcomes are `==`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineOutcome {
-    /// Full network accounting (message/byte/energy/fault counters; the
-    /// live runtime reuses the type verbatim).
+    /// Full network accounting (message/byte/energy/fault counters).
     pub stats: NetStats,
     /// Detections per node, indexed by `NodeId::index()` — order,
     /// timestamps and values all participate in equality.
     pub detections: Vec<Vec<Detection>>,
-    /// The driver's complete end-of-run checkpoint. Sim and live share
-    /// the checkpoint format (the live runtime's restart policy is
-    /// pinned to `Persistent`, the simulator's default), so the bytes
-    /// must match exactly.
+    /// The run's complete end-of-run checkpoint; its bytes do not
+    /// depend on the worker count, so they must match exactly.
     pub checkpoint: Vec<u8>,
 }
 
 impl EngineOutcome {
-    /// Captures a finished simulator (`net.apps()`) or live runtime
-    /// (`rt.engines()`).
+    /// Captures a finished network (`net.apps()`).
     fn capture<'a, B: DetectorBackend>(
         engines: impl Iterator<Item = (NodeId, &'a B::Engine)>,
         stats: &NetStats,
@@ -429,15 +422,13 @@ pub struct BackendParityCase {
     pub faulted: bool,
     /// Readings the recorded trace carries.
     pub trace_len: usize,
-    /// The sequential simulator's outcome (the reference).
+    /// The inline run's outcome (the reference).
     pub reference: EngineOutcome,
-    /// Parallel simulator (4 workers) replayed the trace bit-identically.
+    /// The 4-worker pool replayed the trace bit-identically.
     pub sim_parallel_identical: bool,
-    /// The live runtime replayed the trace bit-identically.
-    pub live_identical: bool,
 }
 
-/// The sim-vs-live differential report.
+/// The 1-vs-4 worker differential report.
 #[derive(Debug, Clone)]
 pub struct BackendParityReport {
     /// One row per seed × fault setting.
@@ -445,40 +436,34 @@ pub struct BackendParityReport {
 }
 
 impl BackendParityReport {
-    /// True when every case was bit-identical across all three drivers.
+    /// True when every case replayed bit-identically.
     pub fn all_identical(&self) -> bool {
         !self.cases.is_empty()
             && self
                 .cases
                 .iter()
-                .all(|c| c.sim_parallel_identical && c.live_identical && c.trace_len > 0)
+                .all(|c| c.sim_parallel_identical && c.trace_len > 0)
     }
 
     /// Cases that diverged, for failure messages.
     pub fn divergent(&self) -> Vec<(u64, bool)> {
         self.cases
             .iter()
-            .filter(|c| !(c.sim_parallel_identical && c.live_identical))
+            .filter(|c| !c.sim_parallel_identical)
             .map(|c| (c.seed, c.faulted))
             .collect()
     }
 }
 
-/// Runs the sim-vs-live differential conformance matrix for any
-/// [`DetectorBackend`] recipe: for every seed and fault setting, the
-/// identical reading trace is replayed through three drivers —
-///
-/// 1. the **simulator** under `sim` (records the trace and serves as
-///    the reference),
-/// 2. the **simulator on a 4-thread worker pool**, and
-/// 3. the **live runtime** under `sim`,
-///
+/// Runs the 1-vs-4 worker differential conformance matrix for any
+/// [`DetectorBackend`] recipe: for every seed and fault setting, one
+/// run under `sim` records the reading trace it ingested and serves as
+/// the reference, and the trace is replayed on a 4-thread worker pool,
 /// asserting that the stats, the per-node detection sequences and the
 /// checkpoint bytes are all `==`. This is the executable form of the
-/// engine crate's driver contract: all three runs go through the same
-/// batch loop around the same
-/// [`snod_simnet::DetectorEngine`] callbacks, so nothing observable may
-/// depend on which runtime hosts the engines.
+/// engine crate's driver contract: the callback phase may run the
+/// [`snod_simnet::DetectorEngine`] callbacks anywhere, so nothing
+/// observable may depend on where they ran.
 ///
 /// `make_stream(seed, leaf)` must be deterministic in its arguments.
 pub fn run_backend_parity<B, F, S>(
@@ -506,8 +491,8 @@ where
                 FaultPlan::none()
             };
 
-            // Reference pass: the simulator under `sim`, recording the
-            // trace it actually ingested.
+            // Reference pass: one run under `sim`, recording the trace
+            // it actually ingested.
             let bank = BankSource::new(
                 SensorStreams::generate(leaves, |leaf| make_stream(seed, leaf)),
                 &topo,
@@ -523,7 +508,7 @@ where
             );
             let trace = recorder.into_trace();
 
-            // Replay 1: the simulator on a worker pool, same trace.
+            // Replay: the same trace on a worker pool.
             let mut replay: ReadingTrace = trace.clone();
             let par_outcome = sim_outcome(
                 backend,
@@ -534,20 +519,11 @@ where
                 readings_per_leaf,
             );
 
-            // Replay 2: the live runtime on the same trace.
-            let mut rt = build_backend_live(backend, topo.clone(), sim, plan.clone())
-                .expect("backend recipe is valid");
-            let mut replay = trace.clone();
-            rt.run(&mut replay, readings_per_leaf);
-            let live_outcome =
-                EngineOutcome::capture::<B>(rt.engines(), rt.stats(), rt.checkpoint());
-
             cases.push(BackendParityCase {
                 seed,
                 faulted,
                 trace_len: trace.len(),
                 sim_parallel_identical: par_outcome == reference,
-                live_identical: live_outcome == reference,
                 reference,
             });
         }
@@ -655,7 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn live_runtime_matches_simulator_on_one_seed() {
+    fn pooled_replay_matches_the_recording_on_one_seed() {
         // One faulted seed per containment rule through the parity
         // harness; the full 3-seed × fault matrix for every backend runs
         // as an integration test (`tests/driver_parity.rs`).
@@ -674,7 +650,7 @@ mod tests {
             );
             assert!(
                 report.all_identical(),
-                "{} drivers diverged on {:?}",
+                "{} pooled replay diverged on {:?}",
                 backend.kind(),
                 report.divergent()
             );

@@ -1,9 +1,8 @@
-//! Sim-vs-live differential conformance: the same recorded reading
-//! trace replayed through the simulator at one and at four workers and
-//! the live runtime must produce identical outlier
-//! escalations, NetStats counters and checkpoint bytes (model epochs
-//! included) — for every backend, across seeds, with and without fault
-//! injection.
+//! 1-vs-4 worker differential conformance: the reading trace an inline
+//! run recorded, replayed on a four-thread callback pool, must produce
+//! identical outlier escalations, NetStats counters and checkpoint bytes
+//! (model epochs included) — for every backend, across seeds, with and
+//! without fault injection.
 
 use snod_bench::conformance::{run_backend_parity, BackendParityReport};
 use snod_core::{
@@ -46,8 +45,8 @@ fn estimator() -> EstimatorConfig {
         .unwrap()
 }
 
-/// 3 seeds × (faultless, severe plan) = 6 cases; every case replays one
-/// trace through three drivers.
+/// 3 seeds × (faultless, severe plan) = 6 cases; every case records one
+/// trace inline and replays it on a worker pool.
 fn parity_matrix<B, S>(backend: &B, readings: u64, stream: fn(u64) -> S) -> BackendParityReport
 where
     B: DetectorBackend,
@@ -70,7 +69,7 @@ where
     assert_eq!(report.cases.len(), 6);
     assert!(
         report.all_identical(),
-        "{} drivers diverged on (seed, faulted) cases {:?}",
+        "{} pooled replay diverged on (seed, faulted) cases {:?}",
         backend.kind(),
         report.divergent()
     );
@@ -87,7 +86,7 @@ fn spikes(salt: u64) -> SeededSpikes {
 }
 
 #[test]
-fn drivers_are_bit_identical_across_seeds_and_faults() {
+fn d3_pooled_replay_is_bit_identical_across_seeds_and_faults() {
     let backend = D3Backend(D3Config {
         estimator: estimator(),
         rule: DistanceOutlierConfig::new(8.0, 0.02),
@@ -110,7 +109,7 @@ fn drivers_are_bit_identical_across_seeds_and_faults() {
 }
 
 #[test]
-fn mgdd_drivers_are_bit_identical_across_seeds_and_faults() {
+fn mgdd_pooled_replay_is_bit_identical_across_seeds_and_faults() {
     let backend = MgddBackend {
         cfg: MgddConfig {
             estimator: estimator(),
@@ -125,7 +124,7 @@ fn mgdd_drivers_are_bit_identical_across_seeds_and_faults() {
 }
 
 #[test]
-fn fqn_drivers_are_bit_identical_across_seeds_and_faults() {
+fn fqn_pooled_replay_is_bit_identical_across_seeds_and_faults() {
     let backend = FqnBackend(FqnConfig {
         dimensions: 1,
         window: 128,
@@ -138,7 +137,7 @@ fn fqn_drivers_are_bit_identical_across_seeds_and_faults() {
 }
 
 #[test]
-fn centralized_drivers_are_bit_identical_across_seeds_and_faults() {
+fn centralized_pooled_replay_is_bit_identical_across_seeds_and_faults() {
     let backend = CentralizedBackend {
         rule: DistanceOutlierConfig::new(8.0, 0.02),
         window_per_leaf: 100,
@@ -166,7 +165,7 @@ impl DataStream for SeededShifts {
 }
 
 #[test]
-fn mmdew_drivers_are_bit_identical_across_seeds_and_faults() {
+fn mmdew_pooled_replay_is_bit_identical_across_seeds_and_faults() {
     let mut cfg = MmdewNodeConfig::default();
     cfg.detector.bucket_cap = 16;
     cfg.detector.min_per_side = 8;

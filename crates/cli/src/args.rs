@@ -106,9 +106,6 @@ pub struct SimulateArgs {
     /// Restore this checkpoint before the run; the remaining readings
     /// replay bit-identically to the run the snapshot was taken from.
     pub resume_from: Option<String>,
-    /// Which runtime drives the engines: "sim" (event-driven simulator)
-    /// or "live" (the streaming runtime; same loop, no restart policies).
-    pub driver: String,
     /// Write the reading trace the run ingested to this CSV file.
     pub record: Option<String>,
     /// Replay a recorded reading trace from this file instead of the
@@ -128,7 +125,6 @@ impl Default for SimulateArgs {
             checkpoint_out: None,
             checkpoint_at: None,
             resume_from: None,
-            driver: "sim".into(),
             record: None,
             replay: None,
         }
@@ -226,12 +222,9 @@ SIMULATE OPTIONS:
                       per leaf, then continue to completion
   --resume-from F   restore checkpoint F before running; the remaining
                     readings replay bit-identically to the original run
-  --driver D        sim | live (default sim): the event-driven simulator
-                    or the streaming live runtime (the same event loop);
-                    fed the same trace, both produce identical results
   --record F        write the ingested reading trace to F (CSV)
   --replay F        feed readings from trace F instead of the synthetic
-                    streams (works under either driver)
+                    streams; the report matches the recorded run's
 
 SERVE OPTIONS:
   --addr A          ingestion listener             (default 127.0.0.1:7433)
@@ -289,7 +282,6 @@ fn parse_simulate<I: Iterator<Item = String>>(mut it: I) -> Result<Command, ArgE
             "--checkpoint-out" => s.checkpoint_out = Some(parse_value(&a, it.next())?),
             "--checkpoint-at" => s.checkpoint_at = Some(parse_value(&a, it.next())?),
             "--resume-from" => s.resume_from = Some(parse_value(&a, it.next())?),
-            "--driver" => s.driver = parse_value(&a, it.next())?,
             "--record" => s.record = Some(parse_value(&a, it.next())?),
             "--replay" => s.replay = Some(parse_value(&a, it.next())?),
             other => return Err(ArgError(format!("unknown flag for simulate: {other}"))),
@@ -303,17 +295,6 @@ fn parse_simulate<I: Iterator<Item = String>>(mut it: I) -> Result<Command, ArgE
     }
     if !(0.0..=1.0).contains(&s.fraction) || !(0.0..=1.0).contains(&s.loss) {
         return Err(ArgError("--fraction and --loss must lie in [0, 1]".into()));
-    }
-    if !["sim", "live"].contains(&s.driver.as_str()) {
-        return Err(ArgError(format!(
-            "unknown driver {:?} (sim | live)",
-            s.driver
-        )));
-    }
-    if s.driver == "live" && (s.checkpoint_out.is_some() || s.resume_from.is_some()) {
-        return Err(ArgError(
-            "checkpoint/resume flags run under the simulator driver only".into(),
-        ));
     }
     Ok(Command::Simulate(s))
 }
@@ -592,42 +573,24 @@ mod tests {
     }
 
     #[test]
-    fn driver_and_trace_flags_parse_and_validate() {
+    fn trace_flags_parse_and_validate() {
+        let Command::Simulate(s) = parse_ok(&["simulate", "--record", "trace.csv"]) else {
+            panic!("wrong command");
+        };
+        assert_eq!(s.record.as_deref(), Some("trace.csv"));
         let Command::Simulate(s) = parse_ok(&[
             "simulate",
-            "--driver",
-            "live",
-            "--record",
+            "--replay",
             "trace.csv",
+            "--checkpoint-out",
+            "ck",
         ]) else {
             panic!("wrong command");
         };
-        assert_eq!(s.driver, "live");
-        assert_eq!(s.record.as_deref(), Some("trace.csv"));
-        let Command::Simulate(s) = parse_ok(&["simulate", "--replay", "trace.csv"]) else {
-            panic!("wrong command");
-        };
-        assert_eq!(s.driver, "sim");
         assert_eq!(s.replay.as_deref(), Some("trace.csv"));
-        // Unknown driver and live+checkpoint are rejected; live+centralized
-        // runs like every other detector.
-        assert!(parse(["simulate".into(), "--driver".into(), "warp".into()]).is_err());
-        assert!(parse([
-            "simulate".into(),
-            "--driver".into(),
-            "live".into(),
-            "--algorithm".into(),
-            "centralized".into(),
-        ])
-        .is_ok());
-        assert!(parse([
-            "simulate".into(),
-            "--driver".into(),
-            "live".into(),
-            "--checkpoint-out".into(),
-            "ck".into(),
-        ])
-        .is_err());
+        assert_eq!(s.checkpoint_out.as_deref(), Some("ck"));
+        // There is one driver, so there is no flag to pick one.
+        assert!(parse(["simulate".into(), "--driver".into(), "live".into()]).is_err());
     }
 
     #[test]

@@ -267,14 +267,9 @@ fn simulate_with<B: DetectorBackend>(
         },
         record: args.record.as_ref().map(|_| ReadingTrace::new()),
     };
-    // The live runtime has no checkpoint schedule, so those flags were
-    // rejected upstream.
-    let report = if args.driver == "live" {
-        pipeline.run_live(&mut source, args.readings)
-    } else {
-        pipeline.run_checkpointed(&mut source, args.readings, &ckpt)
-    }
-    .map_err(|e| format!("simulation failed: {e}"))?;
+    let report = pipeline
+        .run_checkpointed(&mut source, args.readings, &ckpt)
+        .map_err(|e| format!("simulation failed: {e}"))?;
     if let (Some(p), Some(trace)) = (&args.record, source.record.take()) {
         trace
             .write_file(std::path::Path::new(p))
@@ -632,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_record_then_replay_across_drivers_is_identical() {
+    fn simulate_record_then_replay_is_identical() {
         let trace = std::env::temp_dir().join("snod_cli_trace_test.csv");
         for algorithm in BackendKind::ALL {
             let base = crate::args::SimulateArgs {
@@ -643,16 +638,15 @@ mod tests {
                 loss: 0.05,
                 ..crate::args::SimulateArgs::default()
             };
-            // Record the synthetic streams under the simulator driver.
+            // Record the synthetic streams.
             let record = crate::args::SimulateArgs {
                 record: Some(trace.to_string_lossy().into_owned()),
                 ..base.clone()
             };
             let mut recorded = Vec::new();
             simulate(&record, &mut recorded).unwrap();
-            // Replay the same trace through the live runtime.
+            // Replay the same trace instead of the synthetic streams.
             let replay = crate::args::SimulateArgs {
-                driver: "live".into(),
                 replay: Some(trace.to_string_lossy().into_owned()),
                 ..base.clone()
             };
@@ -669,7 +663,7 @@ mod tests {
             assert_eq!(
                 strip(&recorded),
                 strip(&replayed),
-                "{algorithm}: live replay diverged from the recording run"
+                "{algorithm}: replay diverged from the recording run"
             );
             assert!(strip(&recorded).iter().any(|l| l.contains("network:")));
         }

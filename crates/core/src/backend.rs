@@ -13,16 +13,14 @@
 //!
 //! A backend value is a *validated recipe*: it knows how to build one
 //! engine per node (seed-decorrelated via the node id) and how to read
-//! the detections back out. The free functions [`build_backend_network`]
-//! and [`build_backend_live`] turn a recipe into the simulated or the
-//! live runtime over identical engines — the pairing the
-//! driver-parity suites pin bit-for-bit.
+//! the detections back out. [`build_backend_network`] turns a recipe
+//! into the one driver over those engines, whether it then runs to
+//! quiescence (the simulator) or in slices (a `snod serve` tenant).
 
 use snod_outlier::DistanceOutlierConfig;
 use snod_persist::Persist;
 use snod_simnet::{
-    DetectorEngine, FaultPlan, Hierarchy, LiveRuntime, Network, NodeId, SimConfig, StreamSource,
-    Wire,
+    DetectorEngine, FaultPlan, Hierarchy, Network, NodeId, SimConfig, StreamSource, Wire,
 };
 
 use crate::centralized::{CentralizedNode, CentralizedPayload};
@@ -281,20 +279,6 @@ pub fn build_backend_network<B: DetectorBackend>(
     Ok(Network::new(topo, sim, |node, topo| backend.make_engine(node, topo)).with_fault_plan(plan))
 }
 
-/// Builds the live (streaming) runtime over the identical engines.
-pub fn build_backend_live<B: DetectorBackend>(
-    backend: &B,
-    topo: Hierarchy,
-    sim: SimConfig,
-    plan: FaultPlan,
-) -> Result<LiveRuntime<B::Payload, B::Engine>, CoreError> {
-    backend.validate()?;
-    Ok(
-        LiveRuntime::new(topo, sim, |node, topo| backend.make_engine(node, topo))
-            .with_fault_plan(plan),
-    )
-}
-
 /// Runs any backend under a fault schedule: each leaf consumes
 /// `readings_per_leaf` readings from `source`.
 pub fn run_backend_with_faults<B: DetectorBackend, S: StreamSource>(
@@ -414,9 +398,12 @@ mod tests {
         }
         let mut mmdew = MmdewNodeConfig::default();
         mmdew.detector.bucket_cap = 0;
-        assert!(
-            build_backend_live(&MmdewBackend(mmdew), topo, SimConfig::default(), FaultPlan::none())
-                .is_err()
-        );
+        assert!(build_backend_network(
+            &MmdewBackend(mmdew),
+            topo,
+            SimConfig::default(),
+            FaultPlan::none()
+        )
+        .is_err());
     }
 }

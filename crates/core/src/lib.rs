@@ -23,10 +23,9 @@
 //!   curve of Figure 11).
 //! * [`DetectorBackend`] — a validated recipe for one detector family
 //!   ([`D3Backend`], [`MgddBackend`], [`FqnBackend`], [`MmdewBackend`],
-//!   [`CentralizedBackend`]). [`build_backend_network`],
-//!   [`build_backend_live`] and [`run_backend_with_faults`] turn any
-//!   recipe into the simulated or the live runtime — the one way
-//!   to build and run a detector.
+//!   [`CentralizedBackend`]). [`build_backend_network`] and
+//!   [`run_backend_with_faults`] turn any recipe into the one driver —
+//!   the one way to build and run a detector.
 //! * [`MonitorNode`] / [`run_monitor`] and [`apps`] — the Section 9
 //!   applications: faulty sensor detection via model divergence and
 //!   windowed outlier-count alarms.
@@ -56,8 +55,8 @@ mod replica;
 mod shift;
 
 pub use backend::{
-    build_backend_live, build_backend_network, run_backend, run_backend_with_faults, BackendKind,
-    CentralizedBackend, D3Backend, DetectorBackend, FqnBackend, MgddBackend, MmdewBackend,
+    build_backend_network, run_backend, run_backend_with_faults, BackendKind, CentralizedBackend,
+    D3Backend, DetectorBackend, FqnBackend, MgddBackend, MmdewBackend,
 };
 pub use centralized::{CentralizedNode, CentralizedPayload};
 pub use config::{

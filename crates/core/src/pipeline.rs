@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use snod_simnet::{FaultPlan, Hierarchy, NetStats, NodeId, SimConfig, StreamSource};
 
-use crate::backend::{build_backend_live, build_backend_network, DetectorBackend};
+use crate::backend::{build_backend_network, DetectorBackend};
 use crate::config::CoreError;
 use crate::containment::Detection;
 
@@ -162,23 +162,6 @@ impl<B: DetectorBackend> OutlierPipeline<B> {
         Ok(report_by_level(
             net.apps().map(|(_, app)| B::detections(app)),
             net.stats(),
-        ))
-    }
-
-    /// [`Self::run`] on the live runtime — the same event loop over the
-    /// identical engines, bit-identical to the simulator on the same
-    /// readings. It has no checkpoint schedule.
-    pub fn run_live<S: StreamSource>(
-        &self,
-        source: &mut S,
-        readings_per_leaf: u64,
-    ) -> Result<PipelineReport, CoreError> {
-        let (topo, plan) = (self.topo.clone(), self.plan.clone());
-        let mut rt = build_backend_live(&self.backend, topo, self.sim, plan)?;
-        rt.run(source, readings_per_leaf);
-        Ok(report_by_level(
-            rt.engines().map(|(_, engine)| B::detections(engine)),
-            rt.stats(),
         ))
     }
 }

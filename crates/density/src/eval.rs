@@ -23,16 +23,10 @@
 //!   computed directly, and kernels entirely left or right of the box
 //!   yield an *exact* zero because `tb − ta` is exactly zero;
 //! * accumulation is chunked [`LANES`]-wide with a fixed pairwise
-//!   reduction tree, giving the auto-vectoriser independent
-//!   accumulators — and giving the explicit AVX2 path (the `simd`
-//!   feature) an arithmetic order it reproduces **bit-identically**:
-//!   both evaluate the same IEEE-754 operations per lane (sub, mul,
-//!   max/min clamp, factored polynomial, add; never fused), and
-//!   `(acc0 + acc2) + (acc1 + acc3)` is exactly the AVX2 horizontal
-//!   reduction. Rust never contracts `a * b + c` into an FMA on its
-//!   own, so the two backends differ only if a kernel regresses — the
-//!   `simd_equivalence` proptests pin this with a 0-ULP expectation
-//!   documented as a ≤ 2-ULP bound.
+//!   reduction tree `(acc0 + acc2) + (acc1 + acc3)`, giving the
+//!   auto-vectoriser independent accumulators while keeping the
+//!   summation order — and so every result bit — fixed. Rust never
+//!   contracts `a * b + c` into an FMA on its own.
 //!
 //! All sums are *weighted*: compression (see `Kde::compress_to_budget`)
 //! merges near-duplicate centres into one centre carrying the group's
@@ -42,7 +36,7 @@
 
 use crate::kernel::Kernel1d;
 
-/// Chunk width of the blocked accumulation (4 × f64 = one AVX2 vector).
+/// Chunk width of the blocked accumulation (4 × f64 = one 256-bit vector).
 pub(crate) const LANES: usize = 4;
 
 /// Branch-free Epanechnikov CDF: clamping the standardised coordinate to
@@ -50,9 +44,8 @@ pub(crate) const LANES: usize = 4;
 /// (`t = ±1 ⇒ (0.75 − 0.25)·(±1) + 0.5 ∈ {0, 1}`), so no range branch is
 /// needed. The hot loops use the factored difference
 /// [`epan_mass_clamped`] instead; this form remains the test reference.
-// Not `f64::clamp`: the max-then-min chain maps NaN to -1.0, exactly
-// like the `_mm256_max_pd`/`_mm256_min_pd` pair in the AVX2 twin, while
-// `clamp` would propagate NaN and break the bit-identity contract.
+// Not `f64::clamp`: the max-then-min chain maps NaN to -1.0, while
+// `clamp` would propagate NaN and change which inputs score zero.
 #[allow(clippy::manual_clamp)]
 #[cfg_attr(not(test), allow(dead_code))]
 #[inline(always)]
@@ -80,8 +73,8 @@ pub(crate) fn epan_cdf_clamped(u: f64) -> f64 {
 ///   `ta² + ta·tb + tb² = 1` and the mass is exactly
 ///   `2 · (0.75 − 0.25) = 1`.
 ///
-/// The association `(ta·ta + ta·tb) + tb·tb` is fixed; the AVX2 backend
-/// mirrors it operation for operation.
+/// The association `(ta·ta + ta·tb) + tb·tb` is fixed: results are
+/// bit-stable only while it is.
 // Same NaN rationale as `epan_cdf_clamped` for avoiding `f64::clamp`.
 #[allow(clippy::manual_clamp)]
 #[inline(always)]
@@ -100,35 +93,7 @@ pub(crate) fn epan_mass_clamped(ua: f64, ub: f64) -> f64 {
 /// The caller guarantees `hi[j] > lo[j]` for every dimension (degenerate
 /// boxes short-circuit to zero mass before reaching the engine, matching
 /// [`Kernel1d::mass`] on empty intervals).
-#[inline]
 pub(crate) fn epan_box_weighted(
-    cols: &[Vec<f64>],
-    weights: &[f64],
-    s: usize,
-    e: usize,
-    lo: &[f64],
-    hi: &[f64],
-    inv_b: &[f64],
-) -> f64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"))]
-    {
-        crate::simd::epan_box_weighted_avx2(cols, weights, s, e, lo, hi, inv_b)
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2")))]
-    {
-        epan_box_weighted_portable(cols, weights, s, e, lo, hi, inv_b)
-    }
-}
-
-/// Portable implementation of [`epan_box_weighted`]; the arithmetic-order
-/// reference the AVX2 backend must match bit-for-bit. (Under the AVX2
-/// build it is only called from the equivalence tests, hence the scoped
-/// dead-code allowance.)
-#[cfg_attr(
-    all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"),
-    allow(dead_code)
-)]
-pub(crate) fn epan_box_weighted_portable(
     cols: &[Vec<f64>],
     weights: &[f64],
     s: usize,
@@ -163,33 +128,13 @@ pub(crate) fn epan_box_weighted_portable(
         }
         tail += p;
     }
-    // Pairwise tree matching _mm256_hadd_pd of (lo128 + hi128).
+    // Fixed pairwise reduction tree: the summation order is part of the
+    // result.
     (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
 }
 
 /// One-dimensional specialisation of [`epan_box_weighted`] for
 /// [`crate::Kde1d`]: same chunking, same reduction tree, single column.
-#[inline]
-pub(crate) fn epan_interval_weighted(
-    centers: &[f64],
-    weights: &[f64],
-    s: usize,
-    e: usize,
-    a: f64,
-    b: f64,
-    inv_b: f64,
-) -> f64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"))]
-    {
-        crate::simd::epan_interval_weighted_avx2(centers, weights, s, e, a, b, inv_b)
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2")))]
-    {
-        epan_interval_weighted_portable(centers, weights, s, e, a, b, inv_b)
-    }
-}
-
-/// Portable implementation of [`epan_interval_weighted`].
 ///
 /// The standardised query width `w = (b − a)·inv_b` is hoisted out of
 /// the loop: each lane computes only the lower edge `ua = (a − c)·inv_b`
@@ -197,11 +142,7 @@ pub(crate) fn epan_interval_weighted(
 /// without a per-dimension scratch buffer, so its 1-d results differ
 /// from this path by final-rounding ULPs — the two are never mixed for
 /// the same model.)
-#[cfg_attr(
-    all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"),
-    allow(dead_code)
-)]
-pub(crate) fn epan_interval_weighted_portable(
+pub(crate) fn epan_interval_weighted(
     centers: &[f64],
     weights: &[f64],
     s: usize,
@@ -237,31 +178,7 @@ pub(crate) fn epan_interval_weighted_portable(
 /// invisible in the results — it only halves the memory traffic of the
 /// 1-d hot loop (centres stream through L1 without the weight column).
 /// Callers are responsible for checking the weights really are all 1.0.
-#[inline]
 pub(crate) fn epan_interval_unweighted(
-    centers: &[f64],
-    s: usize,
-    e: usize,
-    a: f64,
-    b: f64,
-    inv_b: f64,
-) -> f64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"))]
-    {
-        crate::simd::epan_interval_unweighted_avx2(centers, s, e, a, b, inv_b)
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2")))]
-    {
-        epan_interval_unweighted_portable(centers, s, e, a, b, inv_b)
-    }
-}
-
-/// Portable implementation of [`epan_interval_unweighted`].
-#[cfg_attr(
-    all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"),
-    allow(dead_code)
-)]
-pub(crate) fn epan_interval_unweighted_portable(
     centers: &[f64],
     s: usize,
     e: usize,
@@ -399,13 +316,13 @@ mod tests {
             .zip(&weights)
             .map(|(&c, &w)| w * (epan_cdf_clamped((b - c) * inv_b) - epan_cdf_clamped((a - c) * inv_b)))
             .sum();
-        let chunked = epan_interval_weighted_portable(&centers, &weights, 0, 11, a, b, inv_b);
+        let chunked = epan_interval_weighted(&centers, &weights, 0, 11, a, b, inv_b);
         assert!((chunked - naive).abs() < 1e-14, "{chunked} vs {naive}");
         // The box path computes `ub` directly instead of via the hoisted
         // width, so 1-d box and interval agree to rounding, not bits.
         let cols = vec![centers.clone()];
         let boxed =
-            epan_box_weighted_portable(&cols, &weights, 0, 11, &[a], &[b], &[inv_b]);
+            epan_box_weighted(&cols, &weights, 0, 11, &[a], &[b], &[inv_b]);
         assert!((boxed - chunked).abs() < 1e-14, "{boxed} vs {chunked}");
     }
 
@@ -416,8 +333,8 @@ mod tests {
         sorted.sort_by(f64::total_cmp);
         let ones = vec![1.0; 23];
         for (s, e) in [(0, 23), (2, 21), (9, 10)] {
-            let unweighted = epan_interval_unweighted_portable(&sorted, s, e, 0.2, 0.7, 6.0);
-            let weighted = epan_interval_weighted_portable(&sorted, &ones, s, e, 0.2, 0.7, 6.0);
+            let unweighted = epan_interval_unweighted(&sorted, s, e, 0.2, 0.7, 6.0);
+            let weighted = epan_interval_weighted(&sorted, &ones, s, e, 0.2, 0.7, 6.0);
             assert_eq!(unweighted.to_bits(), weighted.to_bits(), "range [{s}, {e})");
         }
     }
@@ -426,8 +343,8 @@ mod tests {
     fn subrange_evaluation_respects_offsets() {
         let centers: Vec<f64> = (0..40).map(|i| i as f64 / 40.0).collect();
         let weights = vec![1.0; 40];
-        let full = epan_interval_weighted_portable(&centers, &weights, 7, 29, 0.2, 0.8, 4.0);
-        let shifted = epan_interval_weighted_portable(&centers[7..29], &weights[7..29], 0, 22, 0.2, 0.8, 4.0);
+        let full = epan_interval_weighted(&centers, &weights, 7, 29, 0.2, 0.8, 4.0);
+        let shifted = epan_interval_weighted(&centers[7..29], &weights[7..29], 0, 22, 0.2, 0.8, 4.0);
         assert_eq!(full.to_bits(), shifted.to_bits());
     }
 
@@ -442,7 +359,7 @@ mod tests {
         let b = [0.2, 0.3];
         let inv = [1.0 / 0.2, 1.0 / 0.3];
         let (lo, hi) = ([0.3, 0.25], [0.7, 0.8]);
-        let fast = epan_box_weighted_portable(&cols, &weights, 0, 17, &lo, &hi, &inv);
+        let fast = epan_box_weighted(&cols, &weights, 0, 17, &lo, &hi, &inv);
         let slow = generic_box_weighted(&k, &cols, &weights, 0, 17, &lo, &hi, &b);
         assert!((fast - slow).abs() < 1e-13, "{fast} vs {slow}");
     }

@@ -27,9 +27,7 @@
 //! All models implement the [`DensityModel`] trait so the outlier
 //! detectors are agnostic to the estimator in use.
 
-// `deny` rather than `forbid`: the explicit AVX2 module (behind the
-// `simd` feature) is the one sanctioned `allow(unsafe_code)` scope.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // `!(x > 0.0)` is deliberate throughout: unlike `x <= 0.0` it also
 // rejects NaN parameters, which must never enter a model.
@@ -44,9 +42,6 @@ mod kde;
 mod kde1d;
 mod kernel;
 mod model;
-#[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"))]
-#[allow(unsafe_code)]
-mod simd;
 mod wavelet;
 
 pub use bandwidth::{scott_bandwidth, scott_bandwidths};

@@ -15,10 +15,6 @@
 //!   `|R|` non-negative terms, the documented bound is `1e-9` relative
 //!   (observed ≤ ~1e-12); there is no cancellation because every term is
 //!   non-negative.
-//!
-//! Under the `simd` feature on an AVX2 target the same assertions run
-//! against the AVX2 backend, which additionally matches the portable
-//! loops bit-for-bit (see the `to_bits` tests inside `snod-density`).
 
 use proptest::prelude::*;
 

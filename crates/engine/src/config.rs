@@ -30,11 +30,10 @@ pub struct SimConfig {
     /// bit-identical to one without the protocol.
     pub reliability: Option<RetryPolicy>,
     /// Worker threads running same-instant callbacks on *different*
-    /// nodes concurrently, in both drivers (the simulator's `Network`
-    /// and the [`crate::LiveRuntime`]). `1` (the default) runs every
-    /// callback inline on the calling thread; `0` means one worker per
-    /// core. Results are bit-identical at every setting — see
-    /// [`crate::protocol`] for the determinism argument. Parallelism
+    /// nodes concurrently. `1` (the default) runs every callback inline
+    /// on the calling thread; `0` means one worker per core. Results are
+    /// bit-identical at every setting — see DESIGN.md §12 for the
+    /// determinism argument. Parallelism
     /// only pays off when many nodes act at the same instant (e.g.
     /// `stagger_readings = false`).
     pub worker_threads: usize,

@@ -12,9 +12,10 @@ use crate::topology::Hierarchy;
 /// state, observe time exclusively through [`EngineCtx::time_ns`], and
 /// interact with the world exclusively through the [`EngineCtx`] they
 /// are handed — buffered sends, degradation notes and timer arming. No
-/// event queue, no clock, no threads. That is what lets the
-/// deterministic simulator and the [`crate::LiveRuntime`] drive the
-/// identical code and produce bit-identical outcomes.
+/// event queue, no clock, no threads. That is what lets one
+/// [`crate::Network`] run them to quiescence (the simulator) or in
+/// slices (a daemon), inline or on a worker pool, with bit-identical
+/// outcomes.
 pub trait DetectorEngine<P: Wire> {
     /// A new sensor reading arrived at this (leaf) node.
     fn ingest(&mut self, ctx: &mut EngineCtx<'_, P>, value: &[f64]);
@@ -163,7 +164,7 @@ impl<'a, P> EngineCtx<'a, P> {
 
     /// Arms a one-shot timer: `delay_ns` from now the driver calls
     /// [`DetectorEngine::on_timer`] on this node with `id`. Timers ride
-    /// the event queue both drivers share and are suppressed while the
+    /// the network's event queue and are suppressed while the
     /// node is crashed, like any other callback.
     pub fn set_timer(&mut self, delay_ns: u64, id: u64) {
         self.timers.push((delay_ns, id));

@@ -16,7 +16,7 @@
 //!   `W` such that every leaf holds (or has consumed) all readings
 //!   `seq < W`. A driver that only advances its stop time past complete
 //!   waves (`stop_ns = W·period − 1` with
-//!   [`crate::LiveRuntime::run_slice`]) therefore never asks for a
+//!   [`crate::Network::run_until`]) therefore never asks for a
 //!   reading that has not arrived — and never ends a stream early.
 //! * **Explicit end** — a stream only ends when the producer declares
 //!   its total via [`IngestBuffer::finish`]; the buffer then lets the

@@ -1,4 +1,4 @@
-//! # snod-engine — runtime-agnostic detector engines and their drivers
+//! # snod-engine — runtime-agnostic detector engines and their driver
 //!
 //! The paper's algorithms (D3, MGDD, the centralized baseline) are
 //! *per-node state machines*: they ingest sensor readings, exchange
@@ -16,34 +16,31 @@
 //!   [`EngineCtx::time_ns`].
 //! * [`EngineCtx`] — the engine's window onto the network during one
 //!   callback: hierarchy links (parent/children), buffered sends,
-//!   degradation counters and timer arming. Drivers construct it,
-//!   collect it, and replay its side effects deterministically.
-//! * [`protocol`] — the shared *driver core*: the one batch loop
-//!   ([`protocol::Runner`]) with its pre phase (event classification),
-//!   callback phase (inline, or on a worker pool) and post phase
-//!   (side-effect replay), including the ack/retry protocol, the fault
-//!   layer, the restart machinery, per-node RNG streams, all
-//!   traffic/energy accounting and the checkpoint codec. Both the
-//!   simulator (`snod-simnet`'s `Network`) and the [`LiveRuntime`] here
-//!   wrap it, which is the backbone of the sim-vs-live equivalence
-//!   argument.
-//! * [`LiveRuntime`] — a streaming driver advanced in slices of stream
-//!   time ([`LiveRuntime::run_slice`]), fed by any [`StreamSource`] —
-//!   the [`IngestBuffer`] of a daemon, or a replayable
-//!   [`trace::ReadingTrace`] CSV trace.
+//!   degradation counters and timer arming. The driver constructs it,
+//!   collects it, and replays its side effects deterministically.
+//! * [`Network`] — the one driver: topology, one engine per node, the
+//!   protocol state and the checkpoint codec, advanced by one batch
+//!   loop. Its pre phase classifies events, its callback phase runs
+//!   engine callbacks (inline, or on a worker pool) and its post phase
+//!   replays side effects: the ack/retry protocol, the fault layer, the
+//!   restart machinery, per-node RNG streams and all traffic/energy
+//!   accounting. Time comes from the inputs, never the wall clock, so
+//!   the simulator runs it to quiescence ([`Network::run`]) and a daemon
+//!   advances it in slices ([`Network::run_until`]) fed by any
+//!   [`StreamSource`] — the [`IngestBuffer`] of a daemon, or a
+//!   replayable [`trace::ReadingTrace`] CSV trace.
 //!
 //! ## The driver contract
 //!
 //! The one loop delivers callbacks to each node in a single total
 //! order, replays the protocol's side effects (sends, acks, retries,
 //! timers, RNG draws, statistics) in event order, and timestamps
-//! callbacks with a monotone `time_ns`. So the two drivers, fed the same
-//! replayable inputs, produce **bit-identical** outcomes at any
-//! [`SimConfig::worker_threads`]: the same escalations, the same model
-//! epochs, the same [`NetStats`], and the same checkpoint bytes. The
-//! differential conformance suite in `snod-bench` pins exactly this
-//! property between the simulator and the [`LiveRuntime`], with and
-//! without fault injection.
+//! callbacks with a monotone `time_ns`. So a run fed the same replayable
+//! inputs produces **bit-identical** outcomes however it is sliced and
+//! at any [`SimConfig::worker_threads`]: the same escalations, the same
+//! model epochs, the same [`NetStats`], and the same checkpoint bytes.
+//! The resume and worker-count suites pin exactly this property, with
+//! and without fault injection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,10 +51,10 @@ mod energy;
 mod event;
 pub mod fault;
 pub mod ingest;
-mod live;
 mod message;
+mod network;
 mod node;
-pub mod protocol;
+mod protocol;
 mod stats;
 mod topology;
 pub mod trace;
@@ -70,13 +67,16 @@ pub use fault::{
     BurstLoss, CrashWindow, DropoutWindow, FaultPlan, LinkFault, RestartPolicy, RetryPolicy,
 };
 pub use ingest::{IngestBuffer, PushOutcome};
-pub use live::LiveRuntime;
 pub use message::{Envelope, Wire, ACK_BYTES, HEADER_BYTES, MSG_ID_BYTES};
+pub use network::Network;
 pub use node::{Location, NodeId, NodeRole};
-pub use protocol::EngineState;
 pub use stats::NetStats;
 pub use topology::Hierarchy;
 pub use trace::{ReadingTrace, TraceRecorder};
+
+/// [`Network`] under the streaming runtime's older name, kept until the
+/// benchmark's callers move to `Network` (ROADMAP item 22).
+pub type LiveRuntime<P, A> = Network<P, A>;
 
 /// Errors raised while building simulations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,4 +1,4 @@
-//! The simulation driver.
+//! The one driver.
 //!
 //! [`Network`] owns one detector engine per node (the paper's
 //! *"continuous query on every node"*) and drives them with events:
@@ -6,42 +6,72 @@
 //! nodes, and — when the reliability protocol is enabled —
 //! acknowledgements and retransmission timers. Engines react through
 //! [`DetectorEngine`] callbacks and talk to the network through
-//! [`snod_engine::EngineCtx`], which restricts them to the hierarchy
-//! links (parent/children) — exactly the communication pattern of the
+//! [`crate::EngineCtx`], which restricts them to the hierarchy links
+//! (parent/children) — exactly the communication pattern of the
 //! paper's algorithms.
 //!
-//! The run loop, the pre/post phase split, the fault layer, the
-//! ack/retry protocol, the per-node RNG streams, the restart machinery
-//! and the checkpoint codec all live in [`snod_engine::protocol`] and
-//! are shared verbatim with the live runtime
-//! ([`snod_engine::LiveRuntime`]); this module adds the simulator's
-//! vocabulary and its one extra option, the restart policy.
+//! Time is read from the inputs, never from the wall clock, so the same
+//! type serves the simulator (one [`Network::run`] to quiescence) and a
+//! streaming daemon (short [`Network::run_until`] slices as readings
+//! arrive). The batch loop, the pre/post phase split, the fault layer,
+//! the ack/retry protocol, the per-node RNG streams and the restart
+//! machinery live in `crate::protocol`; this module owns the run state
+//! and the checkpoint codec.
 
 use std::path::Path;
 
-use snod_persist::{Persist, PersistError};
+use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
 
-use snod_engine::protocol::Runner;
-use snod_engine::{
-    DetectorEngine, FaultPlan, Hierarchy, NetStats, NodeId, RestartPolicy, SimConfig, StreamSource,
-    Wire,
-};
+use crate::config::{SimConfig, StreamSource};
+use crate::detector::DetectorEngine;
+use crate::energy::EnergyModel;
+use crate::fault::{FaultPlan, RestartPolicy};
+use crate::message::Wire;
+use crate::node::NodeId;
+use crate::protocol::{fingerprint, run_batches, EngineState, RestartState, FAULT_SALT};
+use crate::stats::NetStats;
+use crate::topology::Hierarchy;
 
-/// A running simulation: topology + per-node engines + event queue.
-pub struct Network<P: Wire, A: DetectorEngine<P>> {
-    core: Runner<P, A>,
+/// A running network: topology, one engine per node, run parameters,
+/// the protocol state and the restart machinery — plus the one batch
+/// loop ([`Self::run_until`]) and the one checkpoint codec.
+///
+/// The simulator runs it to quiescence with [`Self::run`]; a daemon
+/// advances it in short [`Self::run_until`] slices as readings arrive.
+/// Either way the same events run through the same loop, so any
+/// sequence of slices is bit-identical to one uninterrupted run.
+pub struct Network<P: Wire, A> {
+    topo: Hierarchy,
+    /// One engine per node, indexed by [`NodeId::index`].
+    apps: Vec<A>,
+    cfg: SimConfig,
+    energy: EnergyModel,
+    plan: FaultPlan,
+    state: EngineState<P>,
+    restart: RestartState<A>,
 }
 
 impl<P: Wire, A: DetectorEngine<P>> Network<P, A> {
-    /// Builds a network, constructing one application per node via
-    /// `make_app`.
+    /// Builds a network over `topo`, constructing one engine per node via
+    /// `make_app`, with no faults and the default energy model.
     pub fn new(
         topo: Hierarchy,
         cfg: SimConfig,
-        make_app: impl FnMut(NodeId, &Hierarchy) -> A,
+        mut make_app: impl FnMut(NodeId, &Hierarchy) -> A,
     ) -> Self {
+        let apps = (0..topo.node_count())
+            .map(|i| make_app(NodeId(i as u32), &topo))
+            .collect();
+        let plan = FaultPlan::none();
+        let state = EngineState::new(topo.node_count(), topo.level_count(), &cfg, &plan);
         Self {
-            core: Runner::new(topo, cfg, make_app),
+            apps,
+            cfg,
+            energy: EnergyModel::default(),
+            plan,
+            state,
+            restart: RestartState::default(),
+            topo,
         }
     }
 
@@ -49,55 +79,52 @@ impl<P: Wire, A: DetectorEngine<P>> Network<P, A> {
     /// fault streams from its seed). Must be called before
     /// [`Self::run`].
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.core.set_fault_plan(plan);
+        let n = self.topo.node_count();
+        self.state.fault_rngs = EngineState::<P>::streams(n, plan.seed ^ FAULT_SALT);
+        self.plan = plan;
         self
     }
 
     /// Installs the application-state restart policy applied when a
     /// node comes back from a recoverable
-    /// [`snod_engine::fault::CrashWindow`] (see [`RestartPolicy`]). The
-    /// default, `Persistent`, preserves the engine's historic behaviour
-    /// bit for bit. `Cold` and `Warm` snapshot every application's
-    /// pristine state now, so call this *after* the apps are built but
-    /// before [`Self::run`]. Counted in [`NetStats::cold_restarts`] /
+    /// [`crate::fault::CrashWindow`] (see [`RestartPolicy`]). The
+    /// default, `Persistent`, keeps the engine's in-memory state. `Cold`
+    /// and `Warm` snapshot every application's pristine state now, so
+    /// call this *after* the apps are built but before [`Self::run`].
+    /// Counted in [`NetStats::cold_restarts`] /
     /// [`NetStats::warm_restarts`].
     pub fn with_restart_policy(mut self, policy: RestartPolicy) -> Self
     where
         A: Persist,
     {
-        self.core.set_restart_policy(policy);
+        self.restart = RestartState::new(policy, &self.apps);
         self
     }
 
     /// Schedules `node` to fail (permanently stop reading, relaying and
-    /// receiving) at simulated time `time_ns`. Must be called before
+    /// receiving) at time `time_ns`. Must be called before
     /// [`Self::run`]. For a *recoverable* outage use a
-    /// [`snod_engine::fault::CrashWindow`] instead.
+    /// [`crate::fault::CrashWindow`] instead.
     pub fn schedule_failure(&mut self, node: NodeId, time_ns: u64) {
-        self.core.schedule_failure(node, time_ns);
+        self.state.failures.push((time_ns, node));
     }
 
     /// Whether `node` has failed.
     pub fn is_dead(&self, node: NodeId) -> bool {
-        self.core.state().dead[node.index()]
+        self.state.dead[node.index()]
     }
 
     /// The fault-decision log: one line per crash, missed reading,
     /// lost frame and abandoned retry, in engine order. Empty unless
-    /// the `fault-trace` feature is enabled.
+    /// the `fault-trace` feature is enabled. Never persisted: a restore
+    /// keeps what has been logged so far.
     pub fn fault_trace(&self) -> &[String] {
-        &self.core.state().trace
+        &self.state.trace
     }
 
-    /// Runs the simulation: every leaf takes `readings_per_leaf` readings
+    /// Runs the network: every leaf takes `readings_per_leaf` readings
     /// from `source`, and all resulting message traffic is processed to
-    /// quiescence.
-    ///
-    /// With `cfg.worker_threads > 1` (or `0` = one per core) same-instant
-    /// callbacks on different nodes run concurrently; the execution is
-    /// bit-identical to the inline single-threaded one either way (see
-    /// the crate-level determinism argument) — including under a fault
-    /// plan, a restart policy and the reliability protocol.
+    /// quiescence — [`Self::run_until`] with no stop time.
     pub fn run<S: StreamSource>(&mut self, source: &mut S, readings_per_leaf: u64)
     where
         P: Send,
@@ -106,12 +133,19 @@ impl<P: Wire, A: DetectorEngine<P>> Network<P, A> {
         self.run_until(source, readings_per_leaf, u64::MAX);
     }
 
-    /// [`Self::run`], but stops once every event at or before `stop_ns`
-    /// has been processed (events scheduled later stay queued). Calling
-    /// again — or on a checkpoint-restored network — continues exactly
-    /// where the run left off: `run_until(k)` followed by
-    /// `run_until(u64::MAX)` is bit-identical to one uninterrupted
-    /// `run`, which is the property the checkpoint/resume tests pin.
+    /// Runs the batch loop until every event at or before `stop_ns` is
+    /// processed: each leaf takes up to `readings_per_leaf` readings from
+    /// `source`. Later events stay queued, so calling again — or on a
+    /// restored network — continues exactly where the run left off:
+    /// `run_until(k)` followed by `run_until(u64::MAX)` is bit-identical
+    /// to one uninterrupted [`Self::run`]. At the default single worker
+    /// a call spawns nothing and allocates only its batch scratch.
+    ///
+    /// With [`SimConfig::resolved_workers`] `<= 1` the callback phase
+    /// runs inline on the calling thread; otherwise on a scoped pool of
+    /// that many threads. Results are bit-identical either way —
+    /// including under a fault plan, a restart policy and the
+    /// reliability protocol.
     pub fn run_until<S: StreamSource>(
         &mut self,
         source: &mut S,
@@ -121,46 +155,120 @@ impl<P: Wire, A: DetectorEngine<P>> Network<P, A> {
         P: Send,
         A: Send,
     {
-        self.core.run_until(source, readings_per_leaf, stop_ns);
+        if readings_per_leaf == 0 {
+            return;
+        }
+        if !self.state.started {
+            self.state.seed_initial_readings(&self.topo, &self.cfg);
+            self.restart.arm(&self.plan);
+            self.state.started = true;
+        }
+        let workers = self.cfg.resolved_workers();
+        let mut eng = self
+            .state
+            .engine(&self.topo, self.cfg, &self.energy, &self.plan);
+        run_batches(
+            &mut eng,
+            &mut self.restart,
+            &mut self.apps,
+            workers,
+            source,
+            readings_per_leaf,
+            stop_ns,
+        );
+        self.state.stats.elapsed_ns = self.state.clock_ns;
+        // Per-level message flow, exported after the run so the loop
+        // never pays a dynamic metric lookup.
+        if snod_obs::enabled() {
+            for (i, &msgs) in self.state.stats.messages_per_level.iter().enumerate() {
+                let name = format!("simnet.level.{}.msgs", i + 1);
+                snod_obs::Gauge::named(&name).set(msgs);
+            }
+        }
+    }
+
+    /// [`Self::run_until`] under its older name, kept until the
+    /// benchmark's callers move to `run_until` (ROADMAP item 22).
+    pub fn run_slice<S: StreamSource>(
+        &mut self,
+        source: &mut S,
+        readings_per_leaf: u64,
+        stop_ns: u64,
+    ) where
+        P: Send,
+        A: Send,
+    {
+        self.run_until(source, readings_per_leaf, stop_ns);
     }
 
     /// Traffic and energy statistics of the run so far.
     pub fn stats(&self) -> &NetStats {
-        &self.core.state().stats
+        &self.state.stats
     }
 
     /// The topology.
     pub fn topology(&self) -> &Hierarchy {
-        self.core.topology()
+        &self.topo
     }
 
     /// The application instance at `node`.
     pub fn app(&self, node: NodeId) -> &A {
-        &self.core.apps()[node.index()]
+        &self.apps[node.index()]
     }
 
     /// Iterates over `(node, app)` pairs.
     pub fn apps(&self) -> impl Iterator<Item = (NodeId, &A)> {
-        self.core
-            .apps()
+        self.apps
             .iter()
             .enumerate()
             .map(|(i, a)| (NodeId(i as u32), a))
     }
 
-    /// Final simulated clock (ns).
-    pub fn now_ns(&self) -> u64 {
-        self.core.state().clock_ns
+    /// [`Self::apps`] under its older name, kept until the benchmark's
+    /// callers move to `apps` (ROADMAP item 22).
+    pub fn engines(&self) -> impl Iterator<Item = (NodeId, &A)> {
+        self.apps()
     }
 
-    /// Snapshots the complete network state, restart snapshots
-    /// included; see [`Runner::checkpoint`].
+    /// The clock: the latest event time processed (ns).
+    pub fn now_ns(&self) -> u64 {
+        self.state.clock_ns
+    }
+
+    /// The raw checkpoint payload: fingerprint, protocol state, the
+    /// three restart slots (empty under Persistent) and every engine.
+    fn checkpoint_payload(&self) -> Vec<u8>
+    where
+        P: Persist,
+        A: Persist,
+    {
+        let mut w = ByteWriter::new();
+        fingerprint(&self.topo, &self.cfg, self.plan.seed, self.restart.policy).save(&mut w);
+        self.state.save(&mut w);
+        self.restart.last_ckpt.save(&mut w);
+        self.restart.next_ckpt_ns.save(&mut w);
+        self.restart.recoveries.save(&mut w);
+        w.put_usize(self.apps.len());
+        for app in &self.apps {
+            app.save(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    /// Snapshots the complete run state — clock, event queue (with its
+    /// tie-break sequence numbers), statistics, the three per-node RNG
+    /// stream families, the reliability protocol's pending and dedup
+    /// tables, scheduled failures and dead flags, the restart snapshots
+    /// and every engine — in the versioned, checksummed `snod-persist`
+    /// envelope. Restoring into a network built identically (any
+    /// `worker_threads`) and continuing is bit-identical to never having
+    /// stopped.
     pub fn checkpoint(&self) -> Vec<u8>
     where
         P: Persist,
         A: Persist,
     {
-        self.core.checkpoint()
+        snod_persist::encode_checkpoint(&self.checkpoint_payload())
     }
 
     /// [`Self::checkpoint`] written atomically to `path` (temp file +
@@ -170,17 +278,21 @@ impl<P: Wire, A: DetectorEngine<P>> Network<P, A> {
         P: Persist,
         A: Persist,
     {
-        self.core.checkpoint_to_file(path)
+        snod_persist::write_checkpoint_file(path, &self.checkpoint_payload())
     }
 
-    /// Restores state captured by [`Self::checkpoint`] into a network
-    /// built like the checkpointed one; see [`Runner::restore`].
+    /// Restores state captured by [`Self::checkpoint`]. The network must
+    /// be built like the checkpointed one — same topology, [`SimConfig`]
+    /// (except `worker_threads`), fault plan and restart policy — which
+    /// a structural fingerprint verifies before anything is touched. On
+    /// any error the network is left unmodified. The fault trace is not
+    /// persisted: the network keeps the one it has accumulated.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), PersistError>
     where
         P: Persist,
         A: Persist,
     {
-        self.core.restore(bytes)
+        self.restore_payload(snod_persist::decode_checkpoint(bytes)?)
     }
 
     /// [`Self::restore`] from a checkpoint file.
@@ -189,16 +301,64 @@ impl<P: Wire, A: DetectorEngine<P>> Network<P, A> {
         P: Persist,
         A: Persist,
     {
-        self.core.restore_from_file(path)
+        self.restore_payload(&snod_persist::read_checkpoint_file(path)?)
+    }
+
+    fn restore_payload(&mut self, payload: &[u8]) -> Result<(), PersistError>
+    where
+        P: Persist,
+        A: Persist,
+    {
+        let mut r = ByteReader::new(payload);
+        let policy = self.restart.policy;
+        if u64::load(&mut r)? != fingerprint(&self.topo, &self.cfg, self.plan.seed, policy) {
+            return Err(PersistError::Corrupt(
+                "checkpoint was taken on a different topology, config, fault plan or restart policy",
+            ));
+        }
+        let state = EngineState::<P>::load(&mut r)?;
+        let last_ckpt = Vec::<Option<Vec<u8>>>::load(&mut r)?;
+        let next_ckpt_ns = Vec::<u64>::load(&mut r)?;
+        let recoveries = Vec::<(u64, u32)>::load(&mut r)?;
+        let n = self.topo.node_count();
+        if !state.shape_matches(n, self.topo.level_count()) {
+            return Err(PersistError::Corrupt("checkpoint node count mismatch"));
+        }
+        let restart_shape_ok = match policy {
+            RestartPolicy::Persistent => {
+                last_ckpt.is_empty() && next_ckpt_ns.is_empty() && recoveries.is_empty()
+            }
+            RestartPolicy::Cold => last_ckpt.len() == n && next_ckpt_ns.is_empty(),
+            RestartPolicy::Warm { .. } => last_ckpt.len() == n && next_ckpt_ns.len() == n,
+        };
+        if !restart_shape_ok || recoveries.iter().any(|&(_, idx)| idx as usize >= n) {
+            return Err(PersistError::Corrupt("checkpoint restart state mismatch"));
+        }
+        if r.get_usize()? != n {
+            return Err(PersistError::Corrupt("checkpoint app count mismatch"));
+        }
+        let apps = (0..n)
+            .map(|_| A::load(&mut r))
+            .collect::<Result<Vec<_>, _>>()?;
+        r.finish()?;
+        // Everything decoded and validated — commit, keeping the
+        // accumulated (never persisted) fault trace.
+        let trace = std::mem::take(&mut self.state.trace);
+        self.state = state;
+        self.state.trace = trace;
+        self.restart.last_ckpt = last_ckpt;
+        self.restart.next_ckpt_ns = next_ckpt_ns;
+        self.restart.recoveries = recoveries;
+        self.apps = apps;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snod_engine::fault::LinkFault;
-    use snod_engine::EngineCtx;
-    use snod_engine::RetryPolicy;
+    use crate::detector::EngineCtx;
+    use crate::fault::{LinkFault, RetryPolicy};
 
     /// Leaves forward every reading to their parent; leaders count what
     /// they hear and forward a fraction upward (every other message).
@@ -234,6 +394,21 @@ mod tests {
             if self.received.is_multiple_of(2) && ctx.send_parent(payload) {
                 self.forwarded += 1;
             }
+        }
+    }
+
+    impl Persist for Relay {
+        fn save(&self, w: &mut ByteWriter) {
+            self.received.save(w);
+            self.forwarded.save(w);
+            self.readings.save(w);
+        }
+        fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+            Ok(Self {
+                received: u64::load(r)?,
+                forwarded: u64::load(r)?,
+                readings: u64::load(r)?,
+            })
         }
     }
 
@@ -791,5 +966,29 @@ mod tests {
         let up = net.app(NodeId(1));
         assert_eq!(up.readings, 20);
         assert_eq!(up.fired, 20);
+    }
+
+    #[cfg(feature = "fault-trace")]
+    #[test]
+    fn restore_keeps_the_accumulated_fault_trace() {
+        // The trace is diagnostic and never persisted: a restore keeps
+        // what the network has logged so far.
+        let topo = Hierarchy::balanced(2, &[2]).unwrap();
+        let cfg = SimConfig::default().with_drop_probability(0.3);
+        let plan = FaultPlan::none().crash(NodeId(0), 5_000_000_000, Some(10_000_000_000));
+        let mut rt = Network::new(topo, cfg, |_, _| Relay::new()).with_fault_plan(plan);
+        let mut source = |_: NodeId, _: u64| Some(vec![0.5]);
+        rt.run_until(&mut source, 30, 15_000_000_000);
+        let logged = rt.fault_trace().to_vec();
+        assert!(logged.iter().any(|l| l.contains("missed reading")));
+        assert!(logged.iter().any(|l| l.contains("lost")));
+
+        let snap = rt.checkpoint();
+        rt.restore(&snap).expect("own checkpoint restores");
+        assert_eq!(rt.fault_trace(), logged.as_slice());
+
+        rt.run(&mut source, 30);
+        assert!(rt.fault_trace().len() > logged.len());
+        assert!(rt.fault_trace().starts_with(&logged));
     }
 }

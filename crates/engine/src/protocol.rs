@@ -1,8 +1,8 @@
-//! The shared driver core: the one batch loop and its pre/post phases.
+//! The driver core: the one batch loop and its pre/post phases.
 //!
-//! Both drivers — the deterministic simulator (`snod-simnet`'s
-//! `Network`) and the [`crate::LiveRuntime`] — wrap one [`Runner`] and
-//! advance it through one loop. Each turn of the loop takes a *batch*
+//! Every run of a [`crate::Network`] — to quiescence, in slices, inline
+//! or on a worker pool — advances through this one loop. Each turn of
+//! the loop takes a *batch*
 //! (every event at the earliest queued instant, in scheduling order)
 //! and puts each event through three phases:
 //!
@@ -42,14 +42,11 @@
 //!    retransmission at batch position `k` followed by an ack at `k+1`
 //!    replays in exactly that order either way.
 //!
-//! Because every run of every driver goes through this one code path,
-//! drivers and worker counts cannot drift apart:
-//! statistics, RNG draw order, floating-point accumulation order, queue
-//! sequence numbers and checkpoint bytes are bit-for-bit the same. The
-//! checkpoint codec ([`Runner::checkpoint`], [`Runner::restore`]) is
-//! shared too, so a simulator checkpoint restores into a live runtime
-//! and back. The differential conformance suite in `snod-bench` pins
-//! both.
+//! Because every run goes through this one code path, slicings and
+//! worker counts cannot drift apart: statistics, RNG draw order,
+//! floating-point accumulation order, queue sequence numbers and
+//! checkpoint bytes are bit-for-bit the same. The 1-vs-4 worker
+//! conformance suite in `snod-bench` and the resume suites pin it.
 //!
 //! ## Per-node RNG streams and the bit-exactness argument
 //!
@@ -78,7 +75,6 @@
 //!    stay bit-identical with faults enabled.
 
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::sync::{mpsc, Mutex};
 
 use snod_persist::{ByteReader, ByteWriter, Persist, PersistError, SeededRng};
@@ -106,7 +102,7 @@ macro_rules! ftrace {
 
 /// The fault-decision log. Only populated with the `fault-trace`
 /// feature; always present so the engine plumbing is feature-free.
-pub type FaultTrace = Vec<String>;
+pub(crate) type FaultTrace = Vec<String>;
 
 /// splitmix64 finalizer over `(base, salt)` — decorrelates the per-node
 /// stream seeds.
@@ -121,16 +117,19 @@ fn mix(base: u64, salt: u64) -> u64 {
 /// derived from [`SimConfig::loss_seed`]).
 const LOSS_SALT: u64 = 0x4C4F_5353; // "LOSS"
 const RETRY_SALT: u64 = 0x5254_5259; // "RTRY"
-const FAULT_SALT: u64 = 0xFA17_FA17;
+pub(crate) const FAULT_SALT: u64 = 0xFA17_FA17;
 
 /// A structural fingerprint of the run parameters a checkpoint does
 /// *not* carry but bit-identical resume depends on: topology shape,
 /// every [`SimConfig`] field except `worker_threads` (runs are
 /// bit-identical across worker counts), the fault-plan seed and the
-/// restart policy. A live runtime is always
-/// [`RestartPolicy::Persistent`], so its checkpoints interchange with a
-/// simulator's under that policy.
-fn fingerprint(topo: &Hierarchy, cfg: &SimConfig, plan_seed: u64, policy: RestartPolicy) -> u64 {
+/// restart policy.
+pub(crate) fn fingerprint(
+    topo: &Hierarchy,
+    cfg: &SimConfig,
+    plan_seed: u64,
+    policy: RestartPolicy,
+) -> u64 {
     let mut h = mix(0x534E_4F44, topo.node_count() as u64); // "SNOD"
     h = mix(h, topo.level_count() as u64);
     h = mix(h, cfg.reading_period_ns);
@@ -232,7 +231,7 @@ enum Pre<P> {
 }
 
 /// A message awaiting acknowledgement.
-pub struct Pending<P> {
+pub(crate) struct Pending<P> {
     from: NodeId,
     to: NodeId,
     payload: P,
@@ -256,49 +255,48 @@ impl<P: Persist> Persist for Pending<P> {
     }
 }
 
-/// The complete mutable protocol state shared by every driver: the
+/// The complete mutable protocol state of one [`crate::Network`]: the
 /// event queue (doubling as the timer wheel), traffic statistics, the
 /// per-node RNG stream families, the reliability protocol's pending and
 /// dedup tables, scheduled failures, dead flags and the clock.
 ///
-/// A [`Runner`] owns one of these, borrows the loop's engine over it
+/// The network owns one of these, borrows the loop's engine over it
 /// per run, and persists it as one unit — the [`Persist`] impl writes
 /// the fields in the exact order the historic simulator checkpoint
-/// format uses, so the bytes are stable across the extraction *and*
-/// identical between drivers.
-pub struct EngineState<P: Wire> {
+/// format uses, so the bytes stay stable.
+pub(crate) struct EngineState<P: Wire> {
     /// Pending events / timers, ordered by `(time, scheduling seq)`.
-    pub queue: EventQueue<P>,
+    pub(crate) queue: EventQueue<P>,
     /// Traffic and energy accounting.
-    pub stats: NetStats,
+    pub(crate) stats: NetStats,
     /// The driver clock: the latest event time processed (ns).
-    pub clock_ns: u64,
+    pub(crate) clock_ns: u64,
     /// Per-node loss-draw streams.
-    pub loss_rngs: Vec<SeededRng>,
+    pub(crate) loss_rngs: Vec<SeededRng>,
     /// Per-node fault-effect streams (jitter, duplication).
-    pub fault_rngs: Vec<SeededRng>,
+    pub(crate) fault_rngs: Vec<SeededRng>,
     /// Per-node retry-jitter streams.
-    pub retry_rngs: Vec<SeededRng>,
+    pub(crate) retry_rngs: Vec<SeededRng>,
     /// Reliable messages awaiting acknowledgement, by message id.
-    pub pending: HashMap<u64, Pending<P>>,
+    pub(crate) pending: HashMap<u64, Pending<P>>,
     /// Per-node sets of reliable message ids already delivered (dedup).
-    pub seen: Vec<HashSet<u64>>,
+    pub(crate) seen: Vec<HashSet<u64>>,
     /// The next reliable message id to assign.
-    pub next_msg_id: u64,
+    pub(crate) next_msg_id: u64,
     /// Scheduled permanent node failures `(time_ns, node)`, unsorted.
-    pub failures: Vec<(u64, NodeId)>,
+    pub(crate) failures: Vec<(u64, NodeId)>,
     /// Per-node dead flags.
-    pub dead: Vec<bool>,
+    pub(crate) dead: Vec<bool>,
     /// True once the initial readings have been seeded.
-    pub started: bool,
+    pub(crate) started: bool,
     /// The fault-decision log (`fault-trace` feature only).
-    pub trace: FaultTrace,
+    pub(crate) trace: FaultTrace,
 }
 
 impl<P: Wire> EngineState<P> {
     /// Fresh state for `n` nodes under `cfg` and `plan` (seeds the
     /// three per-node stream families).
-    pub fn new(n: usize, levels: usize, cfg: &SimConfig, plan: &FaultPlan) -> Self {
+    pub(crate) fn new(n: usize, levels: usize, cfg: &SimConfig, plan: &FaultPlan) -> Self {
         Self {
             queue: EventQueue::new(),
             stats: NetStats::new(n, levels),
@@ -317,14 +315,14 @@ impl<P: Wire> EngineState<P> {
     }
 
     /// One per-node RNG stream family, decorrelated per node.
-    fn streams(n: usize, base: u64) -> Vec<SeededRng> {
+    pub(crate) fn streams(n: usize, base: u64) -> Vec<SeededRng> {
         (0..n)
             .map(|i| SeededRng::seed_from_u64(mix(base, i as u64)))
             .collect()
     }
 
     /// Schedules every leaf's first reading (staggered or synchronous).
-    fn seed_initial_readings(&mut self, topo: &Hierarchy, cfg: &SimConfig) {
+    pub(crate) fn seed_initial_readings(&mut self, topo: &Hierarchy, cfg: &SimConfig) {
         let leaves = topo.leaves();
         let n = leaves.len().max(1) as u64;
         for (i, &leaf) in leaves.iter().enumerate() {
@@ -340,7 +338,7 @@ impl<P: Wire> EngineState<P> {
 
     /// Borrows the processing engine over this state for one run of the
     /// batch loop.
-    fn engine<'a>(
+    pub(crate) fn engine<'a>(
         &'a mut self,
         topo: &'a Hierarchy,
         cfg: SimConfig,
@@ -412,7 +410,7 @@ impl<P: Wire> EngineState<P> {
     /// Shape-validates a freshly loaded state against the topology:
     /// every per-node vector must have `n` entries and the per-level
     /// statistics must match `levels`.
-    fn shape_matches(&self, n: usize, levels: usize) -> bool {
+    pub(crate) fn shape_matches(&self, n: usize, levels: usize) -> bool {
         [
             self.loss_rngs.len(),
             self.fault_rngs.len(),
@@ -433,7 +431,7 @@ impl<P: Wire> EngineState<P> {
 /// the *pre* phase (classification, stream fetches, receive accounting,
 /// dedup) and the *post* phase (outbox flushing, acks, retries,
 /// scheduling).
-struct Engine<'a, P: Wire> {
+pub(crate) struct Engine<'a, P: Wire> {
     topo: &'a Hierarchy,
     cfg: SimConfig,
     energy: &'a EnergyModel,
@@ -838,24 +836,25 @@ impl<P: Wire> Engine<'_, P> {
 /// Decodes one application's state from restart-snapshot bytes.
 type ReviveFn<A> = fn(&[u8]) -> Result<A, PersistError>;
 
-/// Per-node restart machinery behind [`Runner::set_restart_policy`]:
+/// Per-node restart machinery behind
+/// [`crate::Network::with_restart_policy`]:
 /// pristine start-of-run snapshots, the latest periodic on-node
 /// checkpoint, per-node capture deadlines, and the pending crash
 /// recoveries of the installed fault plan. The `snap`/`revive` function
 /// pointers are monomorphized from `A`'s [`Persist`] impl when the
 /// policy is installed, so running needs no `A: Persist` bound. Under
 /// the default [`RestartPolicy::Persistent`] every hook is a no-op.
-struct RestartState<A> {
-    policy: RestartPolicy,
+pub(crate) struct RestartState<A> {
+    pub(crate) policy: RestartPolicy,
     /// Serialized start-of-run application state, one entry per node
     /// (empty under [`RestartPolicy::Persistent`]).
     pristine: Vec<Vec<u8>>,
     /// The most recent periodic checkpoint per node (Warm only).
-    last_ckpt: Vec<Option<Vec<u8>>>,
+    pub(crate) last_ckpt: Vec<Option<Vec<u8>>>,
     /// Next capture deadline per node (Warm only).
-    next_ckpt_ns: Vec<u64>,
+    pub(crate) next_ckpt_ns: Vec<u64>,
     /// Outstanding crash recoveries `(up_ns, node index)`, unsorted.
-    recoveries: Vec<(u64, u32)>,
+    pub(crate) recoveries: Vec<(u64, u32)>,
     snap: Option<fn(&A) -> Vec<u8>>,
     revive: Option<ReviveFn<A>>,
 }
@@ -877,7 +876,7 @@ impl<A> Default for RestartState<A> {
 impl<A> RestartState<A> {
     /// The machinery for `policy`, snapshotting `apps` as the pristine
     /// state a Cold restart returns to.
-    fn new(policy: RestartPolicy, apps: &[A]) -> Self
+    pub(crate) fn new(policy: RestartPolicy, apps: &[A]) -> Self
     where
         A: Persist,
     {
@@ -903,7 +902,7 @@ impl<A> RestartState<A> {
 
     /// Arms the recoveries of `plan`'s crash windows (once, at the start
     /// of a run).
-    fn arm(&mut self, plan: &FaultPlan) {
+    pub(crate) fn arm(&mut self, plan: &FaultPlan) {
         if self.policy != RestartPolicy::Persistent {
             self.recoveries = plan
                 .crashes
@@ -1177,260 +1176,30 @@ fn drive<P, A, S, C>(
     }
 }
 
-/// Everything a driver runs: topology, one engine per node, run
-/// parameters, the protocol state and the restart machinery — plus the
-/// one batch loop ([`Runner::run_until`]) and the one checkpoint codec.
-/// The simulator's `Network` and the [`crate::LiveRuntime`] each wrap
-/// one; they differ only in vocabulary and in which options they expose
-/// (only the simulator installs a restart policy).
-pub struct Runner<P: Wire, A> {
-    topo: Hierarchy,
-    /// One engine per node, indexed by [`NodeId::index`].
-    apps: Vec<A>,
-    cfg: SimConfig,
-    energy: EnergyModel,
-    plan: FaultPlan,
-    state: EngineState<P>,
-    restart: RestartState<A>,
-}
-
-impl<P: Wire, A: DetectorEngine<P>> Runner<P, A> {
-    /// A runner over `topo`, constructing one engine per node via
-    /// `make_app`, with no faults and the default energy model.
-    pub fn new(
-        topo: Hierarchy,
-        cfg: SimConfig,
-        mut make_app: impl FnMut(NodeId, &Hierarchy) -> A,
-    ) -> Self {
-        let apps = (0..topo.node_count())
-            .map(|i| make_app(NodeId(i as u32), &topo))
-            .collect();
-        let plan = FaultPlan::none();
-        let state = EngineState::new(topo.node_count(), topo.level_count(), &cfg, &plan);
-        Self {
-            apps,
-            cfg,
-            energy: EnergyModel::default(),
-            plan,
-            state,
-            restart: RestartState::default(),
-            topo,
-        }
-    }
-
-    /// The hierarchy.
-    pub fn topology(&self) -> &Hierarchy {
-        &self.topo
-    }
-
-    /// One engine per node, indexed by [`NodeId::index`].
-    pub fn apps(&self) -> &[A] {
-        &self.apps
-    }
-
-    /// Queue, statistics, clock, dead flags and fault trace.
-    pub fn state(&self) -> &EngineState<P> {
-        &self.state
-    }
-
-    /// Schedules `node` to fail permanently at `time_ns`.
-    pub fn schedule_failure(&mut self, node: NodeId, time_ns: u64) {
-        self.state.failures.push((time_ns, node));
-    }
-
-    /// Installs `plan` and reseeds the fault streams from its seed. Must
-    /// be called before the run.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        let n = self.topo.node_count();
-        self.state.fault_rngs = EngineState::<P>::streams(n, plan.seed ^ FAULT_SALT);
-        self.plan = plan;
-    }
-
-    /// Installs the restart policy applied when a node comes back from a
-    /// recoverable crash window, snapshotting every engine's pristine
-    /// state now. Must be called after the engines are built and before
-    /// the run.
-    pub fn set_restart_policy(&mut self, policy: RestartPolicy)
-    where
-        A: Persist,
-    {
-        self.restart = RestartState::new(policy, &self.apps);
-    }
-
-    /// Runs the batch loop until every event at or before `stop_ns` is
-    /// processed: each leaf takes up to `readings_per_leaf` readings from
-    /// `source`. Later events stay queued, so calling again — or on a
-    /// restored runner — continues exactly where the run left off.
-    ///
-    /// With [`SimConfig::resolved_workers`] `<= 1` the callback phase
-    /// runs inline on the calling thread; otherwise on a scoped pool of
-    /// that many threads. Results are bit-identical either way.
-    pub fn run_until<S: StreamSource>(
-        &mut self,
-        source: &mut S,
-        readings_per_leaf: u64,
-        stop_ns: u64,
-    ) where
-        P: Send,
-        A: Send,
-    {
-        if readings_per_leaf == 0 {
-            return;
-        }
-        if !self.state.started {
-            self.state.seed_initial_readings(&self.topo, &self.cfg);
-            self.restart.arm(&self.plan);
-            self.state.started = true;
-        }
-        let workers = self.cfg.resolved_workers();
-        let mut eng = self
-            .state
-            .engine(&self.topo, self.cfg, &self.energy, &self.plan);
-        let restart = &mut self.restart;
-        if workers <= 1 {
-            let mut inline = Inline {
-                apps: &mut self.apps,
-                topo: &self.topo,
-            };
-            drive(
-                &mut eng,
-                restart,
-                &mut inline,
-                source,
-                readings_per_leaf,
-                stop_ns,
-            );
-        } else {
-            with_pool(&mut self.apps, &self.topo, workers, |pool| {
-                drive(&mut eng, restart, pool, source, readings_per_leaf, stop_ns);
-            });
-        }
-        self.state.stats.elapsed_ns = self.state.clock_ns;
-        // Per-level message flow, exported after the run so the loop
-        // never pays a dynamic metric lookup.
-        if snod_obs::enabled() {
-            for (i, &msgs) in self.state.stats.messages_per_level.iter().enumerate() {
-                let name = format!("simnet.level.{}.msgs", i + 1);
-                snod_obs::Gauge::named(&name).set(msgs);
-            }
-        }
-    }
-
-    /// The raw checkpoint payload: fingerprint, protocol state, the
-    /// three restart slots (empty under Persistent) and every engine.
-    fn checkpoint_payload(&self) -> Vec<u8>
-    where
-        P: Persist,
-        A: Persist,
-    {
-        let mut w = ByteWriter::new();
-        fingerprint(&self.topo, &self.cfg, self.plan.seed, self.restart.policy).save(&mut w);
-        self.state.save(&mut w);
-        self.restart.last_ckpt.save(&mut w);
-        self.restart.next_ckpt_ns.save(&mut w);
-        self.restart.recoveries.save(&mut w);
-        w.put_usize(self.apps.len());
-        for app in &self.apps {
-            app.save(&mut w);
-        }
-        w.into_bytes()
-    }
-
-    /// Snapshots the complete run state — clock, event queue (with its
-    /// tie-break sequence numbers), statistics, the three per-node RNG
-    /// stream families, the reliability protocol's pending and dedup
-    /// tables, scheduled failures and dead flags, the restart snapshots
-    /// and every engine — in the versioned, checksummed `snod-persist`
-    /// envelope. Restoring into a runner built identically (any
-    /// `worker_threads`) and continuing is bit-identical to never having
-    /// stopped.
-    pub fn checkpoint(&self) -> Vec<u8>
-    where
-        P: Persist,
-        A: Persist,
-    {
-        snod_persist::encode_checkpoint(&self.checkpoint_payload())
-    }
-
-    /// [`Self::checkpoint`] written atomically to `path` (temp file +
-    /// rename — a crash mid-write never leaves a torn file).
-    pub fn checkpoint_to_file(&self, path: &Path) -> Result<(), PersistError>
-    where
-        P: Persist,
-        A: Persist,
-    {
-        snod_persist::write_checkpoint_file(path, &self.checkpoint_payload())
-    }
-
-    /// Restores state captured by [`Self::checkpoint`]. The runner must
-    /// be built like the checkpointed one — same topology, [`SimConfig`]
-    /// (except `worker_threads`), fault plan and restart policy — which
-    /// a structural fingerprint verifies before anything is touched. On
-    /// any error the runner is left unmodified. The fault trace is not
-    /// persisted: the runner keeps the one it has accumulated.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), PersistError>
-    where
-        P: Persist,
-        A: Persist,
-    {
-        self.restore_payload(snod_persist::decode_checkpoint(bytes)?)
-    }
-
-    /// [`Self::restore`] from a checkpoint file.
-    pub fn restore_from_file(&mut self, path: &Path) -> Result<(), PersistError>
-    where
-        P: Persist,
-        A: Persist,
-    {
-        self.restore_payload(&snod_persist::read_checkpoint_file(path)?)
-    }
-
-    fn restore_payload(&mut self, payload: &[u8]) -> Result<(), PersistError>
-    where
-        P: Persist,
-        A: Persist,
-    {
-        let mut r = ByteReader::new(payload);
-        let policy = self.restart.policy;
-        if u64::load(&mut r)? != fingerprint(&self.topo, &self.cfg, self.plan.seed, policy) {
-            return Err(PersistError::Corrupt(
-                "checkpoint was taken on a different topology, config, fault plan or restart policy",
-            ));
-        }
-        let state = EngineState::<P>::load(&mut r)?;
-        let last_ckpt = Vec::<Option<Vec<u8>>>::load(&mut r)?;
-        let next_ckpt_ns = Vec::<u64>::load(&mut r)?;
-        let recoveries = Vec::<(u64, u32)>::load(&mut r)?;
-        let n = self.topo.node_count();
-        if !state.shape_matches(n, self.topo.level_count()) {
-            return Err(PersistError::Corrupt("checkpoint node count mismatch"));
-        }
-        let restart_shape_ok = match policy {
-            RestartPolicy::Persistent => {
-                last_ckpt.is_empty() && next_ckpt_ns.is_empty() && recoveries.is_empty()
-            }
-            RestartPolicy::Cold => last_ckpt.len() == n && next_ckpt_ns.is_empty(),
-            RestartPolicy::Warm { .. } => last_ckpt.len() == n && next_ckpt_ns.len() == n,
-        };
-        if !restart_shape_ok || recoveries.iter().any(|&(_, idx)| idx as usize >= n) {
-            return Err(PersistError::Corrupt("checkpoint restart state mismatch"));
-        }
-        if r.get_usize()? != n {
-            return Err(PersistError::Corrupt("checkpoint app count mismatch"));
-        }
-        let apps = (0..n)
-            .map(|_| A::load(&mut r))
-            .collect::<Result<Vec<_>, _>>()?;
-        r.finish()?;
-        // Everything decoded and validated — commit, keeping the
-        // accumulated (never persisted) fault trace.
-        let trace = std::mem::take(&mut self.state.trace);
-        self.state = state;
-        self.state.trace = trace;
-        self.restart.last_ckpt = last_ckpt;
-        self.restart.next_ckpt_ns = next_ckpt_ns;
-        self.restart.recoveries = recoveries;
-        self.apps = apps;
-        Ok(())
+/// Runs the batch loop over `apps` until every event at or before
+/// `stop_ns` is processed. With `workers <= 1` the callback phase runs
+/// inline on the calling thread; otherwise on a scoped pool of that many
+/// threads. Results are bit-identical either way.
+pub(crate) fn run_batches<P, A, S>(
+    eng: &mut Engine<'_, P>,
+    restart: &mut RestartState<A>,
+    apps: &mut Vec<A>,
+    workers: usize,
+    source: &mut S,
+    readings_per_leaf: u64,
+    stop_ns: u64,
+) where
+    P: Wire + Send,
+    A: DetectorEngine<P> + Send,
+    S: StreamSource,
+{
+    let topo = eng.topo;
+    if workers <= 1 {
+        let mut inline = Inline { apps, topo };
+        drive(eng, restart, &mut inline, source, readings_per_leaf, stop_ns);
+    } else {
+        with_pool(apps, topo, workers, |pool| {
+            drive(eng, restart, pool, source, readings_per_leaf, stop_ns);
+        });
     }
 }

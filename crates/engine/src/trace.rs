@@ -1,12 +1,12 @@
-//! Replayable reading traces: record what a driver ingested, replay it
-//! bit-identically through any driver.
+//! Replayable reading traces: record what a run ingested, replay it
+//! bit-identically.
 //!
 //! A [`ReadingTrace`] is the portable capture format behind the
 //! conformance suite and the CLI's `--replay` flag: one row per leaf
 //! reading, in fetch order, serialized as plain CSV (`node,seq,v1,v2,…`
 //! — values in Rust's shortest round-tripping float notation, so replay
 //! is bit-exact). A trace implements [`StreamSource`] and can therefore
-//! feed the simulator or the live runtime directly; [`TraceRecorder`]
+//! feed a [`crate::Network`] directly; [`TraceRecorder`]
 //! wraps any live source and captures what it hands out.
 
 use std::collections::HashMap;

@@ -4,10 +4,10 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use snod_core::{
-    build_backend_live, BackendKind, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
+    build_backend_network, BackendKind, D3Backend, D3Config, D3Node, D3Payload, DetectorBackend,
     EstimatorConfig, FqnBackend, FqnConfig, MmdewBackend, MmdewNodeConfig,
 };
-use snod_engine::{FaultPlan, Hierarchy, LiveRuntime, SimConfig};
+use snod_engine::{FaultPlan, Hierarchy, Network, SimConfig};
 use snod_outlier::DistanceOutlierConfig;
 
 use crate::error::ServeError;
@@ -160,7 +160,7 @@ impl TenantSpec {
 
     /// Builds one D3 tenant runtime (the in-process reference side of
     /// the differential tests and of the benchmark).
-    pub fn build_runtime(&self) -> Result<LiveRuntime<D3Payload, D3Node>, ServeError> {
+    pub fn build_runtime(&self) -> Result<Network<D3Payload, D3Node>, ServeError> {
         self.build_backend_runtime(&D3Backend(self.d3_config()?))
     }
 
@@ -168,8 +168,8 @@ impl TenantSpec {
     pub fn build_backend_runtime<B: DetectorBackend>(
         &self,
         backend: &B,
-    ) -> Result<LiveRuntime<B::Payload, B::Engine>, ServeError> {
-        build_backend_live(backend, self.topology()?, self.sim_config(), FaultPlan::none())
+    ) -> Result<Network<B::Payload, B::Engine>, ServeError> {
+        build_backend_network(backend, self.topology()?, self.sim_config(), FaultPlan::none())
             .map_err(|e| ServeError::Config(format!("tenant runtime: {e}")))
     }
 }

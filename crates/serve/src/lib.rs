@@ -3,7 +3,7 @@
 //!
 //! The daemon accepts length-prefixed [`wire`] frames over TCP, routes
 //! each tenant's readings into its own detector runtime (one
-//! [`snod_engine::LiveRuntime`] per tenant, advanced by stream-time
+//! [`snod_engine::Network`] per tenant, advanced by stream-time
 //! slicing so the served results are bit-identical to an in-process
 //! run), and surfaces escalations plus health metrics on a scrapeable
 //! HTTP endpoint.

@@ -1,4 +1,4 @@
-//! Per-tenant workers: one thread per tenant owning a [`LiveRuntime`]
+//! Per-tenant workers: one thread per tenant owning a [`Network`]
 //! and an [`IngestBuffer`], fed through a bounded queue.
 //!
 //! ## Stream-time slicing
@@ -10,7 +10,7 @@
 //! [`IngestBuffer::frontier`] (every leaf holds all readings
 //! `seq < W`), every reading event scheduled before stream time
 //! `W·period` is satisfiable, so
-//! [`LiveRuntime::run_slice`]`(…, stop_ns = W·period − 1)` can never
+//! [`Network::run_until`]`(…, stop_ns = W·period − 1)` can never
 //! ask the buffer for a reading that has not arrived — and the
 //! run-split property (a `run_until` cut at any stop time equals the
 //! uninterrupted run, pinned by the checkpoint-equivalence suite)
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use snod_core::DetectorBackend;
-use snod_engine::{IngestBuffer, LiveRuntime, NodeId, PushOutcome};
+use snod_engine::{IngestBuffer, Network, NodeId, PushOutcome};
 use snod_persist::{ByteReader, ByteWriter, Persist};
 
 use crate::config::{BackendVisitor, TenantSpec};
@@ -135,7 +135,7 @@ pub(crate) struct Worker<B: DetectorBackend> {
     name: String,
     cfg: WorkerConfig,
     rx: Receiver<TenantMsg>,
-    rt: LiveRuntime<B::Payload, B::Engine>,
+    rt: Network<B::Payload, B::Engine>,
     buf: IngestBuffer,
     /// Per-node count of detections already pushed to subscribers and
     /// the escalation log (persisted, so a warm restart does not replay
@@ -328,7 +328,7 @@ impl<B: DetectorBackend> Worker<B> {
             }
             TenantMsg::Query(sink) => {
                 let mut rows = Vec::new();
-                for (node, engine) in self.rt.engines() {
+                for (node, engine) in self.rt.apps() {
                     for d in B::detections(engine) {
                         rows.push((node.0, d.time_ns, d.level, d.value.clone()));
                     }
@@ -357,7 +357,7 @@ impl<B: DetectorBackend> Worker<B> {
                 .saturating_sub(1)
         };
         let before = self.buf.consumed_total();
-        self.rt.run_slice(&mut self.buf, u64::MAX, stop);
+        self.rt.run_until(&mut self.buf, u64::MAX, stop);
         let processed = self.buf.consumed_total() - before;
         if processed > 0 {
             self.since_ckpt += processed;
@@ -384,7 +384,7 @@ impl<B: DetectorBackend> Worker<B> {
 
     fn push_new_detections(&mut self) {
         let mut fresh: Vec<(u32, u64, u8, Vec<f64>)> = Vec::new();
-        for (node, engine) in self.rt.engines() {
+        for (node, engine) in self.rt.apps() {
             let seen = self.pushed[node.index()] as usize;
             for d in &B::detections(engine)[seen..] {
                 fresh.push((node.0, d.time_ns, d.level, d.value.clone()));
@@ -393,7 +393,7 @@ impl<B: DetectorBackend> Worker<B> {
         if fresh.is_empty() {
             return;
         }
-        for (node, engine) in self.rt.engines() {
+        for (node, engine) in self.rt.apps() {
             self.pushed[node.index()] = B::detections(engine).len() as u64;
         }
         for (node, time_ns, level, _) in &fresh {

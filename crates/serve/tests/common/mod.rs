@@ -75,7 +75,7 @@ pub fn reference_detections(
                 |node: snod_engine::NodeId, seq: u64| table.get(&(node.0, seq)).cloned();
             rt.run(&mut source, self.per_leaf);
             let mut out = Vec::new();
-            for (node, engine) in rt.engines() {
+            for (node, engine) in rt.apps() {
                 for d in B::detections(engine) {
                     out.push((node.0, d.time_ns, d.level, d.value.clone()));
                 }

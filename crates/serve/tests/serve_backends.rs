@@ -1,5 +1,5 @@
 //! Non-default detector tenants served over TCP must match the same
-//! trace run through the in-process live driver — the serve-layer leg
+//! trace run through an in-process `Network` — the serve-layer leg
 //! of the cross-backend conformance story.
 
 mod common;

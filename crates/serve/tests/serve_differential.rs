@@ -1,7 +1,7 @@
 //! The tentpole proof: a stream served over TCP — through a hostile
 //! fault proxy injecting disconnects, splits, duplicates, reorders and
 //! corruption — produces escalations *identical* to the same trace run
-//! through the in-process live driver.
+//! through an in-process `Network`.
 
 mod common;
 

@@ -4,38 +4,16 @@
 //! (Madden et al., OSDI 2002), using it to *"define the topology of the
 //! network and the type of messages exchanged, to disseminate queries,
 //! and to gather statistics"*, extended with the hierarchical (virtual
-//! grid) organisation of Section 2. TAG's source is not available, so
-//! this crate is the substitute substrate: a deterministic discrete-event
-//! simulator providing the same observable quantities — message counts,
-//! bytes on the air, per-level traffic, energy — for a detector engine
-//! running on every node.
+//! grid) organisation of Section 2. TAG's source is not available; its
+//! substitute is `snod-engine`'s [`Network`], a deterministic
+//! discrete-event driver providing the same observable quantities —
+//! message counts, bytes on the air, per-level traffic, energy — for a
+//! detector engine running on every node.
 //!
-//! The runtime-agnostic core — the [`DetectorEngine`] trait, the
-//! message/fault/statistics types and the event-processing protocol —
-//! lives in the `snod-engine` crate and is re-exported here under its
-//! historic paths; this crate adds the *simulated-time driver*:
-//!
-//! * [`Hierarchy`] — the tiered virtual-grid organisation of Figure 1:
-//!   leaf sensors at the bottom, one leader per cell per tier.
-//! * [`Network`] — the simulation driver: schedules sensor readings,
-//!   delivers messages with configurable latency, and accounts for
-//!   every byte, jumping the clock from event to event.
-//! * [`DetectorEngine`] — the callback trait the paper's algorithms
-//!   (D3, MGDD, centralized) implement in `snod-core`. The same engines
-//!   run unmodified under `snod-engine`'s streaming `LiveRuntime`.
-//! * [`NetStats`] / [`EnergyModel`] — the statistics behind Figure 11 and
-//!   the §10.3 communication-cost discussion.
-//!
-//! ## Determinism at every worker count
-//!
-//! Identical inputs (topology, streams, seeds) replay identical
-//! executions, which the integration tests rely on: at every
-//! [`SimConfig::worker_threads`] setting, under the fault layer
-//! ([`fault::FaultPlan`]), the ack/retry protocol
-//! ([`fault::RetryPolicy`]) and every [`RestartPolicy`] — and
-//! identically to `snod-engine`'s `LiveRuntime`. All of them run the
-//! one batch loop of [`snod_engine::protocol`], whose docs give the
-//! argument.
+//! This crate only re-exports `snod-engine` under its historic paths
+//! (and forwards its Cargo features), so that code written against
+//! `snod_simnet` keeps building. ROADMAP item 22 deletes it together
+//! with the [`LiveRuntime`] alias.
 //!
 //! ```
 //! use snod_simnet::{DetectorEngine, EngineCtx, Hierarchy, Network, NodeId, SimConfig};
@@ -59,18 +37,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod network;
-
 pub use snod_engine::fault;
 
-pub use network::Network;
 pub use snod_engine::fault::{
     BurstLoss, CrashWindow, DropoutWindow, FaultPlan, LinkFault, RestartPolicy, RetryPolicy,
 };
 pub use snod_engine::{
     DetectorEngine, EnergyModel, Envelope, EngineCtx, Event, EventQueue, Hierarchy, LiveRuntime,
-    Location, NetStats, NodeId, NodeRole, ReadingTrace, SimConfig, SimError, StreamSource,
-    TraceRecorder, Wire, ACK_BYTES, HEADER_BYTES, MSG_ID_BYTES,
+    Location, NetStats, Network, NodeId, NodeRole, ReadingTrace, SimConfig, SimError,
+    StreamSource, TraceRecorder, Wire, ACK_BYTES, HEADER_BYTES, MSG_ID_BYTES,
 };
 
 /// The historic name of [`EngineCtx`], kept so downstream code reads

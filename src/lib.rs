@@ -16,8 +16,9 @@
 //! * [`outlier`] — outlier definitions and detectors: distance-based
 //!   `(D, r)`-outliers, MDEF/aLOCI local-metric outliers, exact
 //!   brute-force baselines, precision/recall scoring.
-//! * [`simnet`] — a discrete-event sensor-network simulator with the
-//!   paper's tiered virtual-grid hierarchy and message/energy accounting.
+//! * [`simnet`] — the discrete-event sensor-network driver
+//!   ([`simnet::Network`]) with the paper's tiered virtual-grid
+//!   hierarchy and message/energy accounting.
 //! * [`robust`] — robust/non-parametric detector substrates beyond the
 //!   paper: the streaming Q_n scale estimator and MMDEW, MMD-based
 //!   change detection over exponential windows.
@@ -26,8 +27,8 @@
 //!   centralized baseline and §9 applications. Every detector is a
 //!   [`core::DetectorBackend`] recipe ([`core::D3Backend`],
 //!   [`core::MgddBackend`], [`core::FqnBackend`], [`core::MmdewBackend`],
-//!   [`core::CentralizedBackend`]) built and run through [`core::build_backend_network`],
-//!   [`core::build_backend_live`] and
+//!   [`core::CentralizedBackend`]) built and run through
+//!   [`core::build_backend_network`] and
 //!   [`core::run_backend_with_faults`]; D3 and FQN are one
 //!   [`core::ContainmentNode`] under two [`core::LeafRule`]s.
 //! * [`data`] — the evaluation workloads: the synthetic Gaussian-mixture

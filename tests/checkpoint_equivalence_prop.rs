@@ -1,6 +1,6 @@
-//! Property: for every detector backend and *both* drivers, ingesting
-//! to a cut point, checkpointing, restoring into a fresh instance and
-//! ingesting the rest is indistinguishable from never stopping.
+//! Property: for every detector backend, ingesting to a cut point,
+//! checkpointing, restoring into a fresh instance and ingesting the rest
+//! is indistinguishable from never stopping.
 //!
 //! "Indistinguishable" is checked at the strongest level available: the
 //! final checkpoint bytes, which serialize every application model,
@@ -12,20 +12,21 @@
 //! drawn by proptest — the invariant must hold for *any* of them, not
 //! just curated cut points. Backends: D3, MGDD and the model monitor
 //! (the centralized baseline's resume is pinned by the CLI round trip
-//! and the driver-parity matrix). Drivers: the deterministic simulator and
-//! the live runtime; one extra case restores a *simulator* snapshot
-//! into a *live* runtime mid-run, which only works because the two
-//! produce byte-interchangeable checkpoints, and one runs the live
-//! runtime on a four-thread worker pool.
+//! and the worker-parity matrix). "Both drivers" in the test names are
+//! the two callback phases of the one `Network` loop: every property
+//! resumes once with callbacks inline and once on a four-thread pool,
+//! and both must land on the inline uninterrupted run's bytes. One more
+//! case runs the pool on synchronous readings, so batches hold many
+//! nodes.
 
 use proptest::prelude::*;
 
 use sensor_outliers::core::{
-    build_backend_live, build_backend_network, D3Backend, D3Config, EstimatorConfig, MgddBackend,
+    build_backend_network, D3Backend, D3Config, EstimatorConfig, MgddBackend,
     MgddConfig, MonitorConfig, MonitorNode, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
-use sensor_outliers::simnet::{FaultPlan, Hierarchy, LiveRuntime, Network, NodeId, SimConfig};
+use sensor_outliers::simnet::{FaultPlan, Hierarchy, Network, NodeId, SimConfig};
 
 const READINGS: u64 = 360;
 const HORIZON_NS: u64 = READINGS * 1_000_000_000;
@@ -106,70 +107,46 @@ fn plan_from(faulted: bool, salt: u64) -> FaultPlan {
         )
 }
 
-/// The property for one simulator-driven network: run to `cut_ns`,
-/// snapshot, restore into a fresh build, finish — the final snapshot
-/// must equal the uninterrupted run's, byte for byte.
-macro_rules! sim_split_equals_straight {
+/// The property for one network: run to `cut_ns`, snapshot, restore
+/// into a fresh build, finish — the final snapshot must equal the
+/// uninterrupted inline run's, byte for byte. `$make` builds a network
+/// under a given `SimConfig`; the split run goes once inline and once on
+/// a four-thread callback pool.
+macro_rules! split_equals_straight {
     ($make:expr, $salt:expr, $cut:expr) => {{
+        let make = $make;
         let mut src = source_with($salt);
-        let mut straight = $make;
+        let mut straight = make(SimConfig::default());
         straight.run(&mut src, READINGS);
         let expect = straight.checkpoint();
 
-        let mut first = $make;
-        first.run_until(&mut src, READINGS, $cut);
-        let snap = first.checkpoint();
-        let mut resumed = $make;
-        resumed.restore(&snap).expect("snapshot restores");
-        resumed.run_until(&mut src, READINGS, u64::MAX);
-        prop_assert_eq!(
-            expect,
-            resumed.checkpoint(),
-            "simulator resume diverged (salt {}, cut {})",
-            $salt,
-            $cut
-        );
+        for workers in [1, 4] {
+            let cfg = SimConfig::default().with_worker_threads(workers);
+            let mut first = make(cfg);
+            first.run_until(&mut src, READINGS, $cut);
+            let snap = first.checkpoint();
+            let mut resumed = make(cfg);
+            resumed.restore(&snap).expect("snapshot restores");
+            resumed.run_until(&mut src, READINGS, u64::MAX);
+            prop_assert_eq!(
+                &expect,
+                &resumed.checkpoint(),
+                "resume diverged (salt {}, cut {}, {} workers)",
+                $salt,
+                $cut,
+                workers
+            );
+        }
     }};
 }
 
-/// The same property under the live runtime, sliced with `run_slice`.
-macro_rules! live_split_equals_straight {
-    ($make:expr, $salt:expr, $cut:expr) => {{
-        let mut src = source_with($salt);
-        let mut straight = $make;
-        straight.run(&mut src, READINGS);
-        let expect = straight.checkpoint();
-
-        let mut first = $make;
-        first.run_slice(&mut src, READINGS, $cut);
-        let snap = first.checkpoint();
-        let mut resumed = $make;
-        resumed.restore(&snap).expect("snapshot restores");
-        resumed.run_slice(&mut src, READINGS, u64::MAX);
-        prop_assert_eq!(
-            expect,
-            resumed.checkpoint(),
-            "live resume diverged (salt {}, cut {})",
-            $salt,
-            $cut
-        );
-    }};
-}
-
-fn monitor_net(plan: &FaultPlan) -> Network<sensor_outliers::core::ModelReport, MonitorNode> {
+fn monitor_net(
+    plan: &FaultPlan,
+    sim: SimConfig,
+) -> Network<sensor_outliers::core::ModelReport, MonitorNode> {
     let cfg = monitor_config();
-    Network::new(topo(), SimConfig::default(), |node, topo| {
-        MonitorNode::new(node, topo, &cfg)
-    })
-    .with_fault_plan(plan.clone())
-}
-
-fn monitor_live(plan: &FaultPlan) -> LiveRuntime<sensor_outliers::core::ModelReport, MonitorNode> {
-    let cfg = monitor_config();
-    LiveRuntime::new(topo(), SimConfig::default(), |node, topo| {
-        MonitorNode::new(node, topo, &cfg)
-    })
-    .with_fault_plan(plan.clone())
+    Network::new(topo(), sim, |node, topo| MonitorNode::new(node, topo, &cfg))
+        .with_fault_plan(plan.clone())
 }
 
 proptest! {
@@ -183,13 +160,8 @@ proptest! {
     ) {
         let cut = (HORIZON_NS as f64 * cut_frac) as u64;
         let plan = plan_from(faulted == 1, salt);
-        sim_split_equals_straight!(
-            build_backend_network(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap(),
-            salt,
-            cut
-        );
-        live_split_equals_straight!(
-            build_backend_live(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap(),
+        split_equals_straight!(
+            |sim| build_backend_network(&d3_backend(), topo(), sim, plan.clone()).unwrap(),
             salt,
             cut
         );
@@ -203,13 +175,8 @@ proptest! {
     ) {
         let cut = (HORIZON_NS as f64 * cut_frac) as u64;
         let plan = plan_from(faulted == 1, salt);
-        sim_split_equals_straight!(
-            build_backend_network(&mgdd_backend(), topo(), SimConfig::default(), plan.clone()).unwrap(),
-            salt,
-            cut
-        );
-        live_split_equals_straight!(
-            build_backend_live(&mgdd_backend(), topo(), SimConfig::default(), plan.clone()).unwrap(),
+        split_equals_straight!(
+            |sim| build_backend_network(&mgdd_backend(), topo(), sim, plan.clone()).unwrap(),
             salt,
             cut
         );
@@ -223,55 +190,18 @@ proptest! {
     ) {
         let cut = (HORIZON_NS as f64 * cut_frac) as u64;
         let plan = plan_from(faulted == 1, salt);
-        sim_split_equals_straight!(monitor_net(&plan), salt, cut);
-        live_split_equals_straight!(monitor_live(&plan), salt, cut);
+        split_equals_straight!(|sim| monitor_net(&plan, sim), salt, cut);
     }
 
     #[test]
-    fn sim_snapshot_resumes_inside_a_live_runtime(
+    fn pooled_network_resumes_onto_the_inline_bytes(
         salt in 0u64..1_000,
         cut_frac in 0.15f64..0.85,
         faulted in 0u32..2,
     ) {
-        // Cross-driver restore: the snapshot comes from the simulator,
-        // the remainder of the run happens under the live runtime — and
-        // still lands on the uninterrupted simulator run's bytes.
-        let cut = (HORIZON_NS as f64 * cut_frac) as u64;
-        let plan = plan_from(faulted == 1, salt);
-        let mut src = source_with(salt);
-
-        let mut straight =
-            build_backend_network(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap();
-        straight.run(&mut src, READINGS);
-        let expect = straight.checkpoint();
-
-        let mut first =
-            build_backend_network(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap();
-        first.run_until(&mut src, READINGS, cut);
-        let snap = first.checkpoint();
-
-        let mut live =
-            build_backend_live(&d3_backend(), topo(), SimConfig::default(), plan.clone()).unwrap();
-        live.restore(&snap).expect("a simulator snapshot restores into a live runtime");
-        live.run_slice(&mut src, READINGS, u64::MAX);
-        prop_assert_eq!(
-            expect,
-            live.checkpoint(),
-            "cross-driver resume diverged (salt {}, cut {})",
-            salt,
-            cut
-        );
-    }
-
-    #[test]
-    fn pooled_live_runtime_resumes_onto_the_inline_simulator_bytes(
-        salt in 0u64..1_000,
-        cut_frac in 0.15f64..0.85,
-        faulted in 0u32..2,
-    ) {
-        // The live runtime honours `worker_threads`: a four-thread pool
-        // on synchronous readings (so batches hold many nodes), cut and
-        // restored mid-run, lands on the inline simulator's bytes.
+        // A four-thread pool on synchronous readings (so batches hold
+        // many nodes), cut and restored mid-run, lands on the inline
+        // run's bytes.
         let cut = (HORIZON_NS as f64 * cut_frac) as u64;
         let plan = plan_from(faulted == 1, salt);
         let inline = SimConfig {
@@ -286,16 +216,18 @@ proptest! {
         straight.run(&mut src, READINGS);
         let expect = straight.checkpoint();
 
-        let mut first = build_backend_live(&mgdd_backend(), topo(), pooled, plan.clone()).unwrap();
-        first.run_slice(&mut src, READINGS, cut);
+        let mut first =
+            build_backend_network(&mgdd_backend(), topo(), pooled, plan.clone()).unwrap();
+        first.run_until(&mut src, READINGS, cut);
         let snap = first.checkpoint();
-        let mut resumed = build_backend_live(&mgdd_backend(), topo(), pooled, plan.clone()).unwrap();
+        let mut resumed =
+            build_backend_network(&mgdd_backend(), topo(), pooled, plan.clone()).unwrap();
         resumed.restore(&snap).expect("snapshot restores");
-        resumed.run_slice(&mut src, READINGS, u64::MAX);
+        resumed.run_until(&mut src, READINGS, u64::MAX);
         prop_assert_eq!(
             expect,
             resumed.checkpoint(),
-            "pooled live resume diverged (salt {}, cut {})",
+            "pooled resume diverged (salt {}, cut {})",
             salt,
             cut
         );

@@ -1,8 +1,8 @@
 //! The parallel simulation engine must be *bit-identical* to the
 //! single-threaded one: same detections (time, value, level), same
 //! message/byte/drop counts, same float-accumulated energy totals —
-//! for both paper algorithms, on a fixed seed. See the `simnet` crate
-//! docs for why this holds by construction.
+//! for both paper algorithms, on a fixed seed. See DESIGN.md §12.2 for
+//! why this holds by construction.
 
 use sensor_outliers::core::pipeline::{OutlierPipeline, PipelineReport};
 use sensor_outliers::core::{

@@ -1196,7 +1196,14 @@ pub(crate) fn run_batches<P, A, S>(
     let topo = eng.topo;
     if workers <= 1 {
         let mut inline = Inline { apps, topo };
-        drive(eng, restart, &mut inline, source, readings_per_leaf, stop_ns);
+        drive(
+            eng,
+            restart,
+            &mut inline,
+            source,
+            readings_per_leaf,
+            stop_ns,
+        );
     } else {
         with_pool(apps, topo, workers, |pool| {
             drive(eng, restart, pool, source, readings_per_leaf, stop_ns);

@@ -169,8 +169,13 @@ impl TenantSpec {
         &self,
         backend: &B,
     ) -> Result<Network<B::Payload, B::Engine>, ServeError> {
-        build_backend_network(backend, self.topology()?, self.sim_config(), FaultPlan::none())
-            .map_err(|e| ServeError::Config(format!("tenant runtime: {e}")))
+        build_backend_network(
+            backend,
+            self.topology()?,
+            self.sim_config(),
+            FaultPlan::none(),
+        )
+        .map_err(|e| ServeError::Config(format!("tenant runtime: {e}")))
     }
 }
 

@@ -43,9 +43,9 @@ pub use snod_engine::fault::{
     BurstLoss, CrashWindow, DropoutWindow, FaultPlan, LinkFault, RestartPolicy, RetryPolicy,
 };
 pub use snod_engine::{
-    DetectorEngine, EnergyModel, Envelope, EngineCtx, Event, EventQueue, Hierarchy, LiveRuntime,
-    Location, NetStats, Network, NodeId, NodeRole, ReadingTrace, SimConfig, SimError,
-    StreamSource, TraceRecorder, Wire, ACK_BYTES, HEADER_BYTES, MSG_ID_BYTES,
+    DetectorEngine, EnergyModel, EngineCtx, Envelope, Event, EventQueue, Hierarchy, LiveRuntime,
+    Location, NetStats, Network, NodeId, NodeRole, ReadingTrace, SimConfig, SimError, StreamSource,
+    TraceRecorder, Wire, ACK_BYTES, HEADER_BYTES, MSG_ID_BYTES,
 };
 
 /// The historic name of [`EngineCtx`], kept so downstream code reads

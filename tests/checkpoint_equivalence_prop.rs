@@ -22,8 +22,8 @@
 use proptest::prelude::*;
 
 use sensor_outliers::core::{
-    build_backend_network, D3Backend, D3Config, EstimatorConfig, MgddBackend,
-    MgddConfig, MonitorConfig, MonitorNode, UpdateStrategy,
+    build_backend_network, D3Backend, D3Config, EstimatorConfig, MgddBackend, MgddConfig,
+    MonitorConfig, MonitorNode, UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::simnet::{FaultPlan, Hierarchy, Network, NodeId, SimConfig};

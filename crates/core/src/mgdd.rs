@@ -237,55 +237,59 @@ impl MgddNode {
     fn check(&mut self, ctx: &mut Ctx<'_, MgddPayload>, p: &[f64]) {
         let time_ns = ctx.time_ns;
         let bound = self.cfg.staleness_bound_ns;
-        let mut fresh = Vec::new();
-        let mut stale = Vec::new();
-        for (i, (_, replica)) in self.replicas.iter().enumerate() {
-            if !replica.is_warm() {
-                continue;
-            }
-            match bound {
-                Some(b) if replica.is_stale(time_ns, b) => stale.push(i),
-                _ => fresh.push(i),
+        let stale = move |r: &IncrementalReplica| bound.is_some_and(|b| r.is_stale(time_ns, b));
+        let (mut any_fresh, mut any_stale) = (false, false);
+        for (_, replica) in self.replicas.iter().filter(|(_, r)| r.is_warm()) {
+            if stale(replica) {
+                any_stale = true;
+            } else {
+                any_fresh = true;
             }
         }
-        let degraded = fresh.is_empty() && !stale.is_empty();
-        let scorable = if degraded { &stale } else { &fresh };
+        // Score the fresh replicas, or the stale ones when no fresh one
+        // exists, in replica order.
+        let degraded = !any_fresh && any_stale;
         let detector = MdefDetector::new(self.cfg.rule);
-        let mut hits = Vec::new();
-        for &i in scorable {
-            let (origin, replica) = &mut self.replicas[i];
-            let Ok(model) = replica.model() else { continue };
+        for (origin, replica) in &mut self.replicas {
+            if !replica.is_warm() || stale(replica) != degraded {
+                continue;
+            }
+            let Ok((model, memo)) = replica.model_with_memo() else {
+                continue;
+            };
             snod_obs::counter!("core.mgdd.scored").incr();
-            if let Ok(eval) = detector.evaluate(model, p) {
+            if let Ok(eval) = detector.evaluate_memoized(model, p, memo) {
                 if degraded {
                     ctx.note_degraded_score();
                 }
                 if eval.is_outlier {
-                    hits.push(*origin);
+                    record(&mut self.detections, time_ns, p, *origin);
                 }
             }
         }
         if bound.is_some()
-            && scorable.is_empty()
+            && !any_fresh
+            && !any_stale
             && !self.replicas.is_empty()
             && self.est.observed() >= self.est.config().sample_size as u64
         {
             ctx.note_local_fallback();
             if let Ok(eval) = self.est.evaluate_mdef(p, &self.cfg.rule) {
                 if eval.is_outlier {
-                    hits.push(self.level);
+                    record(&mut self.detections, time_ns, p, self.level);
                 }
             }
         }
-        for origin in hits {
-            snod_obs::counter!("core.mgdd.detections").incr();
-            self.detections.push(Detection {
-                time_ns,
-                value: p.to_vec(),
-                level: origin,
-            });
-        }
     }
+}
+
+fn record(detections: &mut Vec<Detection>, time_ns: u64, p: &[f64], level: u8) {
+    snod_obs::counter!("core.mgdd.detections").incr();
+    detections.push(Detection {
+        time_ns,
+        value: p.to_vec(),
+        level,
+    });
 }
 
 impl DetectorEngine<MgddPayload> for MgddNode {

@@ -17,6 +17,7 @@
 use std::collections::VecDeque;
 
 use snod_density::{Kde, Kde1d};
+use snod_outlier::CellMemo;
 use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
 
 use crate::config::{CoreError, RebuildPolicy};
@@ -42,6 +43,10 @@ pub struct IncrementalReplica {
     epochs: u64,
     /// Simulated time of the latest upstream update ([`Self::touch`]).
     last_update_ns: u64,
+    /// MDEF cell counts of the cached model, never persisted. Cleared by
+    /// every push and replace; a rebuild always follows one of those or
+    /// a fresh start, so it finds the memo empty.
+    memo: CellMemo,
 }
 
 impl IncrementalReplica {
@@ -58,6 +63,7 @@ impl IncrementalReplica {
             pushes_since_rebuild: 0,
             epochs: 0,
             last_update_ns: 0,
+            memo: CellMemo::default(),
         }
     }
 
@@ -88,6 +94,7 @@ impl IncrementalReplica {
     /// [`Self::model`] call.
     pub fn push(&mut self, value: Vec<f64>, sigmas: Vec<f64>, window_len: f64) {
         snod_obs::counter!("core.replica.pushes").incr();
+        self.memo.clear();
         let evicted = if self.values.len() == self.cap {
             self.values.pop_front()
         } else {
@@ -129,6 +136,7 @@ impl IncrementalReplica {
         self.sigmas = sigmas;
         self.window_len = window_len;
         self.cached = None;
+        self.memo.clear();
     }
 
     /// Enough data to make statistical judgements (half the capacity).
@@ -201,6 +209,14 @@ impl IncrementalReplica {
         }
         Ok(self.cached.as_ref().expect("cache just filled"))
     }
+
+    /// The current model ([`Self::model`]) with its cell-count memo, for
+    /// [`snod_outlier::MdefDetector::evaluate_memoized`].
+    pub fn model_with_memo(&mut self) -> Result<(&SensorModel, &mut CellMemo), CoreError> {
+        self.model()?;
+        let model = self.cached.as_ref().expect("model() filled the cache");
+        Ok((model, &mut self.memo))
+    }
 }
 
 impl Persist for IncrementalReplica {
@@ -245,6 +261,7 @@ impl Persist for IncrementalReplica {
             pushes_since_rebuild,
             epochs,
             last_update_ns,
+            memo: CellMemo::default(),
         })
     }
 }

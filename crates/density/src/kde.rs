@@ -504,9 +504,9 @@ impl<K: Kernel1d> DensityModel for Kde<K> {
     /// their dimension-0 lower edge share one monotonically advancing
     /// pruning frontier over the sorted columns; for small batches
     /// against large models the per-query binary search is cheaper and
-    /// is used instead ([`eval::sweep_beats_per_query`]). Both paths
-    /// derive identical centre ranges and share one evaluator, so the
-    /// choice never changes a single output bit.
+    /// is used instead (the crate-private `eval::sweep_beats_per_query`
+    /// decides). Both paths derive identical centre ranges and share one
+    /// evaluator, so the choice never changes a single output bit.
     fn neighborhood_counts(&self, points: &[f64], r: f64) -> Result<Vec<f64>, DensityError> {
         let d = self.dims;
         if !points.len().is_multiple_of(d) {

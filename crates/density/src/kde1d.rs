@@ -364,9 +364,9 @@ impl<K: Kernel1d> DensityModel for Kde1d<K> {
     /// advance the support-pruning frontier `[s, e)` monotonically —
     /// `O(q·log q + |R| + Σ|R′|)`; small batches against large models
     /// skip the frontier walk and binary-search per query
-    /// ([`eval::sweep_beats_per_query`]). Both paths derive identical
-    /// centre ranges and share one evaluator, so the choice never changes
-    /// a single output bit.
+    /// (the crate-private `eval::sweep_beats_per_query` decides). Both
+    /// paths derive identical centre ranges and share one evaluator, so
+    /// the choice never changes a single output bit.
     fn neighborhood_counts(&self, points: &[f64], r: f64) -> Result<Vec<f64>, DensityError> {
         let mut out = vec![0.0; points.len()];
         if r <= 0.0 {

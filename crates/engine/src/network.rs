@@ -531,15 +531,32 @@ mod tests {
 
     #[test]
     fn failed_leaf_stops_reading() {
-        let topo = Hierarchy::balanced(2, &[2]).unwrap();
-        let mut net = Network::new(topo, SimConfig::default(), |_, _| Relay::new());
-        // Leaf 0 dies after ~50 seconds (readings are 1/s).
-        net.schedule_failure(NodeId(0), 50_000_000_000);
-        let mut source = |_: NodeId, _: u64| Some(vec![0.5]);
-        net.run(&mut source, 200);
-        assert!(net.is_dead(NodeId(0)));
-        assert!(net.app(NodeId(0)).readings <= 51);
-        assert_eq!(net.app(NodeId(1)).readings, 200);
+        // Leaf 0 reads at t = 0, 1 s, 2 s, … A failure is applied when
+        // the first batch at or after its instant starts, before any of
+        // that batch's events, so a leaf failing at t took exactly the
+        // readings strictly before t.
+        const S: u64 = 1_000_000_000;
+        let cases = [
+            (0, 0),
+            (1, 1),
+            (50 * S - 1, 50),
+            (50 * S, 50),
+            (50 * S + 1, 51),
+        ];
+        for (fail_ns, readings) in cases {
+            let topo = Hierarchy::balanced(2, &[2]).unwrap();
+            let mut net = Network::new(topo, SimConfig::default(), |_, _| Relay::new());
+            net.schedule_failure(NodeId(0), fail_ns);
+            let mut source = |_: NodeId, _: u64| Some(vec![0.5]);
+            net.run(&mut source, 200);
+            assert!(net.is_dead(NodeId(0)));
+            assert_eq!(
+                net.app(NodeId(0)).readings,
+                readings,
+                "failure at {fail_ns} ns"
+            );
+            assert_eq!(net.app(NodeId(1)).readings, 200);
+        }
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub mod metrics;
 pub use exact::ExactWindowDetector;
 
 pub use distance::{DistanceOutlierConfig, DistanceOutlierDetector};
-pub use mdef::{MdefConfig, MdefDetector, MdefEvaluation, SigmaMode};
+pub use mdef::{CellMemo, MdefConfig, MdefDetector, MdefEvaluation, SigmaMode};
 pub use metrics::PrecisionRecall;

@@ -119,6 +119,85 @@ pub struct MdefEvaluation {
     pub is_outlier: bool,
 }
 
+/// Most cells a [`CellMemo`] holds (128 KiB of counts). A finer grid is
+/// not memoized at all.
+const MEMO_MAX_CELLS: usize = 1 << 14;
+
+/// Memoized cell counts of one density model: `n(centre, αr)` of every
+/// aLOCI cell an evaluation needed, over the grid of `2αr` cells that
+/// covers `[0, 1]^d`. A cell count is a pure function of the model and
+/// the cell index, so it is served from here until the model changes;
+/// the memo's owner must [`clear`](Self::clear) it on every change.
+/// Cells outside the grid are counted afresh each time. Derived state:
+/// never persisted.
+#[derive(Debug, Clone, Default)]
+pub struct CellMemo {
+    /// Counts by row-major cell index; NaN marks a cell not yet counted.
+    counts: Vec<f64>,
+    /// Cells per dimension (0 when the grid would exceed the cap).
+    side: usize,
+    /// Dimensionality and counting radius the grid is laid out for.
+    dims: usize,
+    radius_bits: u64,
+}
+
+impl CellMemo {
+    /// Forgets every count (the model changed), keeping the allocation.
+    pub fn clear(&mut self) {
+        self.counts.clear();
+    }
+
+    /// Lays the grid out for `dims` dimensions and counting radius `ar`,
+    /// allocating it on the first evaluation after a [`Self::clear`].
+    fn prepare(&mut self, dims: usize, ar: f64) {
+        if self.dims != dims || self.radius_bits != ar.to_bits() {
+            self.counts.clear();
+            self.dims = dims;
+            self.radius_bits = ar.to_bits();
+            let side = (1.0 / (2.0 * ar)).ceil() as usize;
+            self.side = match u32::try_from(dims).ok().and_then(|d| side.checked_pow(d)) {
+                Some(n) if n <= MEMO_MAX_CELLS => side,
+                _ => 0,
+            };
+        }
+        if self.counts.is_empty() && self.side > 0 {
+            self.counts.resize(self.side.pow(dims as u32), f64::NAN);
+        }
+    }
+
+    /// Row-major slot of the cell with per-dimension indices `cell`, or
+    /// `None` outside the grid.
+    fn slot(&self, cell: &[i64]) -> Option<usize> {
+        cell.iter().try_fold(0, |slot, &i| {
+            let i = usize::try_from(i).ok().filter(|&i| i < self.side)?;
+            Some(slot * self.side + i)
+        })
+    }
+
+    fn get(&self, cell: &[i64]) -> Option<f64> {
+        let slot = self.slot(cell)?;
+        self.counts.get(slot).copied().filter(|c| !c.is_nan())
+    }
+
+    fn put(&mut self, cell: &[i64], count: f64) {
+        if let Some(c) = self.slot(cell).and_then(|s| self.counts.get_mut(s)) {
+            *c = count;
+        }
+    }
+}
+
+/// Steps `cell` to the next cell of the box `lo..=hi` in flat-index order
+/// (last dimension fastest).
+fn next_cell(cell: &mut [i64], lo: &[i64], hi: &[i64]) {
+    for j in (0..cell.len()).rev() {
+        if cell[j] < hi[j] {
+            cell[j] += 1;
+            return;
+        }
+        cell[j] = lo[j];
+    }
+}
+
 /// MDEF detector evaluating observations against any density model.
 #[derive(Debug, Clone, Copy)]
 pub struct MdefDetector {
@@ -144,6 +223,29 @@ impl MdefDetector {
         model: &M,
         p: &[f64],
     ) -> Result<MdefEvaluation, DensityError> {
+        self.evaluate_with(model, p, None)
+    }
+
+    /// [`Self::evaluate`], serving cell counts from `memo` and recording
+    /// the ones it had to count. The result has the same bits as
+    /// `evaluate` as long as `memo` holds counts of `model` only: a
+    /// count does not depend on the batch it was computed in (DESIGN
+    /// §11.3).
+    pub fn evaluate_memoized<M: DensityModel + ?Sized>(
+        &self,
+        model: &M,
+        p: &[f64],
+        memo: &mut CellMemo,
+    ) -> Result<MdefEvaluation, DensityError> {
+        self.evaluate_with(model, p, Some(memo))
+    }
+
+    fn evaluate_with<M: DensityModel + ?Sized>(
+        &self,
+        model: &M,
+        p: &[f64],
+        mut memo: Option<&mut CellMemo>,
+    ) -> Result<MdefEvaluation, DensityError> {
         snod_obs::counter!("outlier.mdef.evals").incr();
         let d = model.dims();
         if p.len() != d {
@@ -157,48 +259,70 @@ impl MdefDetector {
         let cell = 2.0 * ar;
 
         // Cells of width 2αr (per dimension, aligned to the domain origin)
-        // that intersect the sampling box [p − r, p + r].
+        // that intersect the sampling box [p − r, p + r]: indices lo..=hi.
         let mut lo_idx = Vec::with_capacity(d);
-        let mut n_cells = Vec::with_capacity(d);
+        let mut hi_idx = Vec::with_capacity(d);
         for &c in p.iter().take(d) {
             let lo = ((c - r) / cell).floor().max(0.0) as i64;
             let hi = ((c + r) / cell).floor() as i64;
-            let hi = hi.max(lo);
             lo_idx.push(lo);
-            n_cells.push((hi - lo + 1) as usize);
+            hi_idx.push(hi.max(lo));
         }
-        let total_cells: usize = n_cells.iter().product();
+        let total_cells: usize = lo_idx
+            .iter()
+            .zip(&hi_idx)
+            .map(|(lo, hi)| (hi - lo + 1) as usize)
+            .product();
+        if let Some(m) = memo.as_deref_mut() {
+            m.prepare(d, ar);
+        }
 
         // All counting queries of one evaluation share the radius αr, so
-        // they go to the model as a single batch: the counting
-        // neighborhood of p itself, then one query per cell centre (the
-        // flat-index order emits centres ascending in dimension 0, which
-        // the sorted-sweep implementations exploit).
+        // the ones the memo cannot serve go to the model as a single
+        // batch: the counting neighborhood of p itself, then one query
+        // per missing cell centre (the flat-index order emits centres
+        // ascending in dimension 0, which the sorted-sweep
+        // implementations exploit).
         let mut queries = Vec::with_capacity((1 + total_cells) * d);
         queries.extend_from_slice(p);
-        for flat in 0..total_cells {
-            let mut rem = flat;
-            let at = queries.len();
-            queries.resize(at + d, 0.0);
-            for j in (0..d).rev() {
-                let off = rem % n_cells[j];
-                rem /= n_cells[j];
-                queries[at + j] = (lo_idx[j] + off as i64) as f64 * cell + ar;
+        let mut at = lo_idx.clone();
+        for _ in 0..total_cells {
+            if memo.as_deref().and_then(|m| m.get(&at)).is_none() {
+                queries.extend(at.iter().map(|&i| i as f64 * cell + ar));
             }
+            next_cell(&mut at, &lo_idx, &hi_idx);
         }
         let counts = model.neighborhood_counts(&queries, ar)?;
+        if memo.is_some() {
+            let misses = counts.len() - 1;
+            snod_obs::counter!("outlier.mdef.cell_hits").add((total_cells - misses) as u64);
+            snod_obs::counter!("outlier.mdef.cell_misses").add(misses as u64);
+        }
 
         // Counting neighborhood of p itself.
         let count = counts[0];
 
         // Weighted first and second moments of the per-cell counts c_i,
         // weighting each cell by its own count (each of the ~c_i points in
-        // cell i has counting-neighborhood count ≈ c_i).
+        // cell i has counting-neighborhood count ≈ c_i), in flat order.
+        let mut fresh = counts[1..].iter();
         let mut w_sum = 0.0;
         let mut w_mean = 0.0;
         let mut w_sq = 0.0;
         let mut nonempty = 0usize;
-        for &c in &counts[1..] {
+        at.copy_from_slice(&lo_idx);
+        for _ in 0..total_cells {
+            let c = match memo.as_deref().and_then(|m| m.get(&at)) {
+                Some(c) => c,
+                None => {
+                    let c = *fresh.next().expect("one count per unmemoized cell");
+                    if let Some(m) = memo.as_deref_mut() {
+                        m.put(&at, c);
+                    }
+                    c
+                }
+            };
+            next_cell(&mut at, &lo_idx, &hi_idx);
             // Estimated fractional counts below one reading are noise
             // floor, not population: skip them like empty cells.
             if c >= 0.5 {
@@ -380,6 +504,40 @@ mod tests {
         let det = MdefDetector::new(cfg());
         let e = det.evaluate(&model, &[0.5]).unwrap();
         assert!(!e.is_outlier, "uniform-region point flagged: {e:?}");
+    }
+
+    #[test]
+    fn memoized_cell_count_is_the_single_query_count() {
+        // DESIGN §11.3: a count has the same bits whichever batch it was
+        // computed in, so a count memoized from one evaluation's batch
+        // equals a one-query batch at that cell centre.
+        let sample: Vec<Vec<f64>> = (0..200)
+            .map(|i| {
+                vec![
+                    0.3 + 0.002 * i as f64,
+                    0.5 + 0.1 * ((i * 37 % 17) as f64 / 17.0),
+                ]
+            })
+            .collect();
+        let model = snod_density::Kde::from_sample(&sample, &[0.1, 0.05], 5_000.0).unwrap();
+        let det = MdefDetector::new(cfg());
+        let mut memo = CellMemo::default();
+        let p = [0.45, 0.55];
+        let first = det.evaluate_memoized(&model, &p, &mut memo).unwrap();
+        let (ar, cell) = (cfg().counting_radius, 2.0 * cfg().counting_radius);
+        let mut served = 0;
+        for (i, j) in (0..=60).flat_map(|i| (0..=60).map(move |j| (i, j))) {
+            if let Some(c) = memo.get(&[i, j]) {
+                let centre = [i as f64 * cell + ar, j as f64 * cell + ar];
+                let single = model.neighborhood_counts(&centre, ar).unwrap()[0];
+                assert_eq!(c.to_bits(), single.to_bits(), "cell ({i}, {j})");
+                served += 1;
+            }
+        }
+        assert_eq!(served, 81, "a 9×9 sampling box");
+        let again = det.evaluate_memoized(&model, &p, &mut memo).unwrap();
+        assert_eq!(first, det.evaluate(&model, &p).unwrap());
+        assert_eq!(again, first);
     }
 
     #[test]

@@ -27,7 +27,6 @@ fn bench_vs_grid(c: &mut Criterion) {
     group.finish();
 }
 
-
 /// Short measurement windows: these benches check complexity *shape*
 /// (linear vs flat), not absolute timings.
 fn quick_config() -> Criterion {

@@ -82,9 +82,7 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
     });
 
     let kde = Kde::from_sample(&sample_nd(n, 2), &[0.2, 0.2], 10_000.0).unwrap();
-    let queries_2d: Vec<f64> = (0..q)
-        .flat_map(|i| [i as f64 / q as f64, 0.5])
-        .collect();
+    let queries_2d: Vec<f64> = (0..q).flat_map(|i| [i as f64 / q as f64, 0.5]).collect();
     group.bench_with_input(BenchmarkId::new("kde2d_scalar", q), &q, |b, _| {
         b.iter(|| {
             queries_2d
@@ -109,7 +107,6 @@ fn bench_model_build(c: &mut Criterion) {
     }
     group.finish();
 }
-
 
 /// Short measurement windows: these benches check complexity *shape*
 /// (linear vs flat), not absolute timings.

@@ -50,7 +50,6 @@ fn bench_exact_window(c: &mut Criterion) {
     });
 }
 
-
 /// Short measurement windows: these benches check complexity *shape*
 /// (linear vs flat), not absolute timings.
 fn quick_config() -> Criterion {

@@ -524,8 +524,14 @@ pub fn fqn_accuracy_sweep(cfg: &FqnAccuracyConfig) -> Vec<OperatingPoint> {
                 }])
             };
             let backend = FqnBackend(fqn);
-            let net = run_backend(&backend, topo.clone(), SimConfig::default(), &mut source, readings)
-                .expect("fqn accuracy recipe is valid");
+            let net = run_backend(
+                &backend,
+                topo.clone(),
+                SimConfig::default(),
+                &mut source,
+                readings,
+            )
+            .expect("fqn accuracy recipe is valid");
             let mut pr = PrecisionRecall::new();
             let mut hit: std::collections::HashSet<Vec<u64>> = std::collections::HashSet::new();
             for (_, app) in net.apps() {
@@ -592,7 +598,11 @@ pub fn mmdew_accuracy_sweep(cfg: &MmdewAccuracyConfig) -> Vec<OperatingPoint> {
             node_cfg.detector.threshold_scale = ts;
             let mut source = move |node: NodeId, seq: u64| {
                 let h = (node.0 as u64 * 1_000_003) ^ seq.wrapping_mul(7_919 + seed);
-                let base = if (seq / segment).is_multiple_of(2) { 0.2 } else { 0.8 };
+                let base = if (seq / segment).is_multiple_of(2) {
+                    0.2
+                } else {
+                    0.8
+                };
                 Some(vec![base + 0.02 * ((h % 1_009) as f64 / 1_009.0)])
             };
             let backend = MmdewBackend(node_cfg);
@@ -701,7 +711,11 @@ mod tests {
         // gross injections are far outside the base band.
         let at4 = &points[1].pr;
         assert!(at4.recall() > 0.8, "k=4 recall {:.3}", at4.recall());
-        assert!(at4.precision() > 0.8, "k=4 precision {:.3}", at4.precision());
+        assert!(
+            at4.precision() > 0.8,
+            "k=4 precision {:.3}",
+            at4.precision()
+        );
     }
 
     #[test]

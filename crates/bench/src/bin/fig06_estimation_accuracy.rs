@@ -165,5 +165,8 @@ fn main() {
     // build spans and scalar-query kernel counts per window setting.
     snod_bench::obs_report::write_phases("FIG06_metrics.json", &phases)
         .expect("write FIG06_metrics.json");
-    println!("per-phase metrics: FIG06_metrics.json ({} phases)", phases.len());
+    println!(
+        "per-phase metrics: FIG06_metrics.json ({} phases)",
+        phases.len()
+    );
 }

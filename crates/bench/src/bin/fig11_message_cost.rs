@@ -164,5 +164,8 @@ fn main() {
     // Per-phase observability breakdown (message counters, retry
     // machinery, model-rebuild spans) per algorithm and grid size.
     obs_report::write_phases("FIG11_metrics.json", &phases).expect("write FIG11_metrics.json");
-    println!("per-phase metrics: FIG11_metrics.json ({} phases)", phases.len());
+    println!(
+        "per-phase metrics: FIG11_metrics.json ({} phases)",
+        phases.len()
+    );
 }

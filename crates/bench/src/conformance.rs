@@ -218,11 +218,7 @@ fn leaf_only(outcome: &EngineOutcome, plan: &FaultPlan) -> Vec<Vec<Detection>> {
             if plan_touches(plan, NodeId(i as u32)) {
                 Vec::new()
             } else {
-                per_node
-                    .iter()
-                    .filter(|d| d.level == 1)
-                    .cloned()
-                    .collect()
+                per_node.iter().filter(|d| d.level == 1).cloned().collect()
             }
         })
         .collect()
@@ -242,8 +238,7 @@ fn base_minus_touched(base: &[Vec<Detection>], plan: &FaultPlan) -> Vec<Vec<Dete
 }
 
 fn plan_touches(plan: &FaultPlan, node: NodeId) -> bool {
-    plan.crashes.iter().any(|c| c.node == node)
-        || plan.dropouts.iter().any(|d| d.node == node)
+    plan.crashes.iter().any(|c| c.node == node) || plan.dropouts.iter().any(|d| d.node == node)
 }
 
 /// The default severity ladder over a run of `horizon_ns` nanoseconds:
@@ -353,7 +348,14 @@ where
 
     let replay = |plan: FaultPlan, sim: SimConfig| -> EngineOutcome {
         let mut source = BankSource::new(SensorStreams::generate(cfg.leaves, &make_stream), &topo);
-        sim_outcome(&backend, &topo, sim, plan, &mut source, cfg.readings_per_leaf())
+        sim_outcome(
+            &backend,
+            &topo,
+            sim,
+            plan,
+            &mut source,
+            cfg.readings_per_leaf(),
+        )
     };
 
     // Claim 1a: zero-probability plan == no plan, bit for bit.
@@ -379,8 +381,7 @@ where
     // the severest plan, bit for bit.
     let severest = &ladder_plans.last().expect("non-empty ladder").1;
     let parallel = replay(severest.clone(), cfg.sim.with_worker_threads(4));
-    let parallel_bit_identical =
-        parallel == ladder.last().expect("non-empty ladder").outcome;
+    let parallel_bit_identical = parallel == ladder.last().expect("non-empty ladder").outcome;
 
     ConformanceReport {
         baseline,

@@ -27,10 +27,7 @@ pub fn phase<R>(f: impl FnOnce() -> R) -> (R, MetricsSnapshot) {
 
 /// Serialises named phase snapshots as one JSON object
 /// (`{"<phase>": <MetricsSnapshot>, ...}`) to `path`.
-pub fn write_phases(
-    path: &str,
-    phases: &[(String, MetricsSnapshot)],
-) -> std::io::Result<()> {
+pub fn write_phases(path: &str, phases: &[(String, MetricsSnapshot)]) -> std::io::Result<()> {
     let mut out = String::from("{");
     for (i, (name, snap)) in phases.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
@@ -60,9 +57,16 @@ mod tests {
         }
         let path = std::env::temp_dir().join("snod_obs_report_test.json");
         let path = path.to_string_lossy().into_owned();
-        write_phases(&path, &[("warm".into(), snap.clone()), ("hot".into(), snap)]).unwrap();
+        write_phases(
+            &path,
+            &[("warm".into(), snap.clone()), ("hot".into(), snap)],
+        )
+        .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"warm\"") && text.contains("\"hot\""), "{text}");
+        assert!(
+            text.contains("\"warm\"") && text.contains("\"hot\""),
+            "{text}"
+        );
         assert!(text.trim_start().starts_with('{') && text.trim_end().ends_with('}'));
         std::fs::remove_file(&path).ok();
     }

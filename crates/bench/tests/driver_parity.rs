@@ -96,7 +96,11 @@ fn d3_pooled_replay_is_bit_identical_across_seeds_and_faults() {
     // The matrix is not vacuous: every case ingested data, and the
     // faulted runs actually exercised the fault layer.
     for case in &report.cases {
-        assert!(case.trace_len > 0, "seed {} recorded no readings", case.seed);
+        assert!(
+            case.trace_len > 0,
+            "seed {} recorded no readings",
+            case.seed
+        );
         if case.faulted {
             let s = &case.reference.stats;
             assert!(
@@ -159,7 +163,11 @@ impl DataStream for SeededShifts {
     fn next_reading(&mut self) -> Vec<f64> {
         let n = self.n;
         self.n += 1;
-        let base = if (n / 250).is_multiple_of(2) { 0.2 } else { 0.8 };
+        let base = if (n / 250).is_multiple_of(2) {
+            0.2
+        } else {
+            0.8
+        };
         vec![base + 0.01 * ((n.wrapping_mul(7) + self.salt) % 5) as f64]
     }
 }

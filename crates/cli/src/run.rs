@@ -335,7 +335,10 @@ pub fn serve_daemon(args: &crate::args::ServeArgs, out: &mut dyn Write) -> Resul
     let server = snod_serve::serve(cfg).map_err(|e| format!("cannot start daemon: {e}"))?;
     writeln!(out, "listening on {}", server.addr())?;
     if let Some(m) = server.metrics_addr() {
-        writeln!(out, "metrics on http://{m}/metrics (also /healthz, /escalations)")?;
+        writeln!(
+            out,
+            "metrics on http://{m}/metrics (also /healthz, /escalations)"
+        )?;
     }
     if let Some(d) = &args.checkpoint_dir {
         writeln!(out, "checkpointing tenants to {d}")?;
@@ -442,7 +445,11 @@ fn print_escalations(
     let all = client.escalations(h);
     for (node, time_ns, level, value) in &all[printed..] {
         let coords: Vec<String> = value.iter().map(|c| format!("{c}")).collect();
-        writeln!(out, "escalation: node {node} t={time_ns} level {level} [{}]", coords.join(","))?;
+        writeln!(
+            out,
+            "escalation: node {node} t={time_ns} level {level} [{}]",
+            coords.join(",")
+        )?;
     }
     Ok(all.len())
 }
@@ -570,7 +577,10 @@ mod tests {
         let mut out = Vec::new();
         simulate(&args, &mut out).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with('{') && text.trim_end().ends_with('}'), "{text}");
+        assert!(
+            text.starts_with('{') && text.trim_end().ends_with('}'),
+            "{text}"
+        );
         if snod_obs::enabled() {
             assert!(text.contains("simnet.sends"), "{text}");
         }
@@ -622,7 +632,11 @@ mod tests {
                 .map(str::to_owned)
                 .collect()
         };
-        assert_eq!(strip(&full), strip(&resumed), "{algorithm}: resume diverged");
+        assert_eq!(
+            strip(&full),
+            strip(&resumed),
+            "{algorithm}: resume diverged"
+        );
         std::fs::remove_file(&ck).ok();
     }
 
@@ -656,7 +670,9 @@ mod tests {
                 String::from_utf8(buf.to_vec())
                     .unwrap()
                     .lines()
-                    .filter(|l| !l.starts_with("trace recorded") && !l.starts_with("replayed trace"))
+                    .filter(|l| {
+                        !l.starts_with("trace recorded") && !l.starts_with("replayed trace")
+                    })
                     .map(str::to_owned)
                     .collect()
             };

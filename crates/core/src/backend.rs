@@ -302,7 +302,14 @@ pub fn run_backend<B: DetectorBackend, S: StreamSource>(
     source: &mut S,
     readings_per_leaf: u64,
 ) -> Result<Network<B::Payload, B::Engine>, CoreError> {
-    run_backend_with_faults(backend, topo, sim, FaultPlan::none(), source, readings_per_leaf)
+    run_backend_with_faults(
+        backend,
+        topo,
+        sim,
+        FaultPlan::none(),
+        source,
+        readings_per_leaf,
+    )
 }
 
 #[cfg(test)]

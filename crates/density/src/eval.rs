@@ -249,7 +249,10 @@ pub(crate) fn generic_box_weighted<K: Kernel1d>(
     'points: for i in s..e {
         let mut prod = weights[i];
         for (j, col) in cols.iter().enumerate() {
-            let m = kernel.mass((lo[j] - col[i]) / bandwidths[j], (hi[j] - col[i]) / bandwidths[j]);
+            let m = kernel.mass(
+                (lo[j] - col[i]) / bandwidths[j],
+                (hi[j] - col[i]) / bandwidths[j],
+            );
             if m == 0.0 {
                 continue 'points;
             }
@@ -314,15 +317,16 @@ mod tests {
         let naive: f64 = centers
             .iter()
             .zip(&weights)
-            .map(|(&c, &w)| w * (epan_cdf_clamped((b - c) * inv_b) - epan_cdf_clamped((a - c) * inv_b)))
+            .map(|(&c, &w)| {
+                w * (epan_cdf_clamped((b - c) * inv_b) - epan_cdf_clamped((a - c) * inv_b))
+            })
             .sum();
         let chunked = epan_interval_weighted(&centers, &weights, 0, 11, a, b, inv_b);
         assert!((chunked - naive).abs() < 1e-14, "{chunked} vs {naive}");
         // The box path computes `ub` directly instead of via the hoisted
         // width, so 1-d box and interval agree to rounding, not bits.
         let cols = vec![centers.clone()];
-        let boxed =
-            epan_box_weighted(&cols, &weights, 0, 11, &[a], &[b], &[inv_b]);
+        let boxed = epan_box_weighted(&cols, &weights, 0, 11, &[a], &[b], &[inv_b]);
         assert!((boxed - chunked).abs() < 1e-14, "{boxed} vs {chunked}");
     }
 
@@ -344,7 +348,8 @@ mod tests {
         let centers: Vec<f64> = (0..40).map(|i| i as f64 / 40.0).collect();
         let weights = vec![1.0; 40];
         let full = epan_interval_weighted(&centers, &weights, 7, 29, 0.2, 0.8, 4.0);
-        let shifted = epan_interval_weighted(&centers[7..29], &weights[7..29], 0, 22, 0.2, 0.8, 4.0);
+        let shifted =
+            epan_interval_weighted(&centers[7..29], &weights[7..29], 0, 22, 0.2, 0.8, 4.0);
         assert_eq!(full.to_bits(), shifted.to_bits());
     }
 
@@ -352,8 +357,12 @@ mod tests {
     fn generic_matches_fast_path_within_ulp_noise() {
         let k = EpanechnikovKernel;
         let cols = vec![
-            (0..17).map(|i| (i as f64 * 0.055) % 1.0).collect::<Vec<_>>(),
-            (0..17).map(|i| (i as f64 * 0.083) % 1.0).collect::<Vec<_>>(),
+            (0..17)
+                .map(|i| (i as f64 * 0.055) % 1.0)
+                .collect::<Vec<_>>(),
+            (0..17)
+                .map(|i| (i as f64 * 0.083) % 1.0)
+                .collect::<Vec<_>>(),
         ];
         let weights = vec![1.0; 17];
         let b = [0.2, 0.3];

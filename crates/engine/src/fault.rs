@@ -80,10 +80,7 @@ impl LinkFault {
 
     /// Returns the rule with its duplication probability set.
     pub fn duplicate(mut self, probability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "probability in [0, 1]"
-        );
+        assert!((0.0..=1.0).contains(&probability), "probability in [0, 1]");
         self.duplicate_probability = probability;
         self
     }
@@ -163,13 +160,21 @@ impl FaultPlan {
 
     /// Adds a crash window (`up_ns = None` for a permanent crash).
     pub fn crash(mut self, node: NodeId, down_ns: u64, up_ns: Option<u64>) -> Self {
-        self.crashes.push(CrashWindow { node, down_ns, up_ns });
+        self.crashes.push(CrashWindow {
+            node,
+            down_ns,
+            up_ns,
+        });
         self
     }
 
     /// Adds a sensing dropout window.
     pub fn dropout(mut self, node: NodeId, from_ns: u64, to_ns: u64) -> Self {
-        self.dropouts.push(DropoutWindow { node, from_ns, to_ns });
+        self.dropouts.push(DropoutWindow {
+            node,
+            from_ns,
+            to_ns,
+        });
         self
     }
 
@@ -211,9 +216,10 @@ impl FaultPlan {
     /// it sits in a crash window that never ends — the engine then stops
     /// rescheduling its readings, like the permanent-failure path.)
     pub fn recovers(&self, node: NodeId, time_ns: u64) -> bool {
-        !self.crashes.iter().any(|c| {
-            c.node == node && c.down_ns <= time_ns && c.up_ns.is_none()
-        })
+        !self
+            .crashes
+            .iter()
+            .any(|c| c.node == node && c.down_ns <= time_ns && c.up_ns.is_none())
     }
 
     /// The first link-fault rule matching `from → to`, if any.
@@ -355,8 +361,14 @@ mod tests {
                 duplicate_probability: 0.0,
             })
             .link(LinkFault::delay_all(99, 0));
-        assert_eq!(p.link_fault(NodeId(0), NodeId(5)).unwrap().extra_delay_ns, 7);
-        assert_eq!(p.link_fault(NodeId(1), NodeId(5)).unwrap().extra_delay_ns, 99);
+        assert_eq!(
+            p.link_fault(NodeId(0), NodeId(5)).unwrap().extra_delay_ns,
+            7
+        );
+        assert_eq!(
+            p.link_fault(NodeId(1), NodeId(5)).unwrap().extra_delay_ns,
+            99
+        );
     }
 
     #[test]

@@ -225,8 +225,8 @@ impl Hierarchy {
         }
         let side = side.next_power_of_two();
         let tiers = side.trailing_zeros() as usize; // log2(side) quad tiers
-        // Build by explicit quad-tree grouping (chunks() in `balanced`
-        // would group linearly, breaking 2-d cell locality).
+                                                    // Build by explicit quad-tree grouping (chunks() in `balanced`
+                                                    // would group linearly, breaking 2-d cell locality).
         let leaf_count = side * side;
         let mut roles = Vec::with_capacity(leaf_count * 2);
         let mut parents: Vec<Option<NodeId>> = Vec::with_capacity(leaf_count * 2);

@@ -411,8 +411,7 @@ macro_rules! counter {
 macro_rules! gauge {
     ($name:expr) => {{
         if $crate::enabled() {
-            static __SNOD_OBS: ::std::sync::OnceLock<$crate::Gauge> =
-                ::std::sync::OnceLock::new();
+            static __SNOD_OBS: ::std::sync::OnceLock<$crate::Gauge> = ::std::sync::OnceLock::new();
             *__SNOD_OBS.get_or_init(|| $crate::Gauge::named($name))
         } else {
             $crate::Gauge::null()
@@ -567,8 +566,11 @@ pub fn snapshot() -> MetricsSnapshot {
             .iter()
             .map(|(n, cells)| {
                 let count = cells.count.load(Ordering::Relaxed);
-                let counts: Vec<u64> =
-                    cells.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+                let counts: Vec<u64> = cells
+                    .buckets
+                    .iter()
+                    .map(|b| b.load(Ordering::Relaxed))
+                    .collect();
                 let q = |p: f64| -> u64 {
                     let target = (count as f64 * p).ceil() as u64;
                     let mut seen = 0u64;

@@ -167,7 +167,10 @@ mod tests {
         let mut enc = encode_checkpoint(b"x");
         enc[0] ^= 0xFF;
         assert_eq!(decode_checkpoint(&enc).unwrap_err(), PersistError::BadMagic);
-        assert_eq!(decode_checkpoint(b"tiny").unwrap_err(), PersistError::BadMagic);
+        assert_eq!(
+            decode_checkpoint(b"tiny").unwrap_err(),
+            PersistError::BadMagic
+        );
     }
 
     #[test]

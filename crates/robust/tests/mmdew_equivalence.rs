@@ -43,7 +43,10 @@ fn naive_best_split(
     let b = buckets.len();
     let mut best: Option<SplitStat> = None;
     for split in 0..b.saturating_sub(1) {
-        let older: Vec<&Vec<f64>> = buckets[..=split].iter().flat_map(|bk| &bk.samples).collect();
+        let older: Vec<&Vec<f64>> = buckets[..=split]
+            .iter()
+            .flat_map(|bk| &bk.samples)
+            .collect();
         let newer: Vec<&Vec<f64>> = buckets[(split + 1)..]
             .iter()
             .flat_map(|bk| &bk.samples)

@@ -288,9 +288,7 @@ impl ServeClient {
             let rows: Vec<(u32, u64, Vec<f64>)> = t
                 .sent
                 .iter()
-                .filter(|(node, seq, _)| {
-                    *seq >= t.marks.get(node).map_or(0, |m| m.0)
-                })
+                .filter(|(node, seq, _)| *seq >= t.marks.get(node).map_or(0, |m| m.0))
                 .cloned()
                 .collect();
             for (node, seq, value) in rows {
@@ -341,7 +339,8 @@ impl ServeClient {
             return;
         }
         self.last_progress = Instant::now();
-        self.resend_wait = (self.resend_wait * 2).min(self.cfg.max_backoff.max(self.cfg.resend_interval));
+        self.resend_wait =
+            (self.resend_wait * 2).min(self.cfg.max_backoff.max(self.cfg.resend_interval));
         self.resend_unreceived();
     }
 
@@ -425,9 +424,8 @@ impl ServeClient {
                     .get_mut(handle as usize)
                     .expect("checked above");
                 // Durably acked rows can never be needed again.
-                t.sent.retain(|(node, seq, _)| {
-                    *seq >= t.marks.get(node).map_or(0, |m| m.1)
-                });
+                t.sent
+                    .retain(|(node, seq, _)| *seq >= t.marks.get(node).map_or(0, |m| m.1));
             }
             Msg::Escalation {
                 handle,

@@ -312,7 +312,10 @@ mod tests {
             window: 1,
             ..TenantSpec::default()
         });
-        assert!(why.contains("fqn window must hold at least 2 values"), "{why}");
+        assert!(
+            why.contains("fqn window must hold at least 2 values"),
+            "{why}"
+        );
         let why = rejected(TenantSpec {
             sample_fraction: 1.5,
             ..TenantSpec::default()

@@ -530,9 +530,7 @@ impl ConnReader<'_> {
                 seq,
                 value,
             } => self.reading(handle, node, seq, value),
-            Msg::Finish { handle, totals } => {
-                self.control(handle, TenantMsg::Finish { totals })
-            }
+            Msg::Finish { handle, totals } => self.control(handle, TenantMsg::Finish { totals }),
             Msg::Query { handle } => {
                 let sink = ConnSink {
                     conn_id: self.conn_id,

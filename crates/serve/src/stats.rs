@@ -39,7 +39,12 @@ impl EscalationLog {
     }
 
     pub fn recent(&self) -> Vec<EscalationRecord> {
-        self.ring.lock().expect("escalation log lock").iter().cloned().collect()
+        self.ring
+            .lock()
+            .expect("escalation log lock")
+            .iter()
+            .cloned()
+            .collect()
     }
 
     pub fn total(&self) -> u64 {

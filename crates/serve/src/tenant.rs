@@ -57,7 +57,11 @@ pub(crate) struct ConnSink {
 #[derive(Debug)]
 pub(crate) enum TenantMsg {
     /// One reading (at-least-once; the worker dedups).
-    Reading { node: u32, seq: u64, value: Vec<f64> },
+    Reading {
+        node: u32,
+        seq: u64,
+        value: Vec<f64>,
+    },
     /// Declared per-leaf stream totals.
     Finish { totals: Vec<(u32, u64)> },
     /// A connection wants acks (and, if subscribed, escalations).
@@ -320,7 +324,8 @@ impl<B: DetectorBackend> Worker<B> {
                         handle: sink.handle,
                     });
                 }
-                self.sinks.retain(|s| s.conn_id != sink.conn_id || s.handle != sink.handle);
+                self.sinks
+                    .retain(|s| s.conn_id != sink.conn_id || s.handle != sink.handle);
                 self.sinks.push(sink);
             }
             TenantMsg::Detach { conn_id } => {
@@ -410,15 +415,14 @@ impl<B: DetectorBackend> Worker<B> {
                 return true;
             }
             fresh.iter().all(|(node, time_ns, level, value)| {
-                s.tx
-                    .send(Msg::Escalation {
-                        handle: s.handle,
-                        node: *node,
-                        time_ns: *time_ns,
-                        level: *level,
-                        value: value.clone(),
-                    })
-                    .is_ok()
+                s.tx.send(Msg::Escalation {
+                    handle: s.handle,
+                    node: *node,
+                    time_ns: *time_ns,
+                    level: *level,
+                    value: value.clone(),
+                })
+                .is_ok()
             })
         });
     }
@@ -455,12 +459,11 @@ impl<B: DetectorBackend> Worker<B> {
         self.last_acked = now;
         let acks = self.ack_rows();
         self.sinks.retain(|s| {
-            s.tx
-                .send(Msg::Ack {
-                    handle: s.handle,
-                    acks: acks.clone(),
-                })
-                .is_ok()
+            s.tx.send(Msg::Ack {
+                handle: s.handle,
+                acks: acks.clone(),
+            })
+            .is_ok()
         });
     }
 

@@ -74,10 +74,16 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::BadMagic => write!(f, "bad frame magic"),
             WireError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported wire version {found} (this build speaks {supported})")
+                write!(
+                    f,
+                    "unsupported wire version {found} (this build speaks {supported})"
+                )
             }
             WireError::Oversized { len } => {
-                write!(f, "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap")
+                write!(
+                    f,
+                    "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
+                )
             }
             WireError::BadChecksum { expected, found } => {
                 write!(f, "frame checksum mismatch: header says {expected:#010x}, payload is {found:#010x}")
@@ -398,7 +404,9 @@ impl FrameDecoder {
     /// needed. Errors indicate an unrecoverable framing violation.
     pub fn next_frame(&mut self) -> Result<Option<Msg>, WireError> {
         if self.buf.len() < WIRE_HEADER_LEN {
-            if !self.buf.is_empty() && self.buf[..self.buf.len().min(8)] != WIRE_MAGIC[..self.buf.len().min(8)] {
+            if !self.buf.is_empty()
+                && self.buf[..self.buf.len().min(8)] != WIRE_MAGIC[..self.buf.len().min(8)]
+            {
                 return Err(WireError::BadMagic);
             }
             return Ok(None);

@@ -33,7 +33,9 @@ fn serve_and_query(
         client.wait_finished(h, Duration::from_secs(60)),
         "{tag}: stream completes"
     );
-    let got = client.query(h, Duration::from_secs(10)).expect("detections");
+    let got = client
+        .query(h, Duration::from_secs(10))
+        .expect("detections");
     server.shutdown();
     got
 }

@@ -30,8 +30,13 @@ fn clean_served_stream_matches_in_process_run() {
         }
     }
     client.finish(h, common::totals(&spec, 96));
-    assert!(client.wait_finished(h, Duration::from_secs(30)), "stream completes");
-    let got = client.query(h, Duration::from_secs(10)).expect("detections");
+    assert!(
+        client.wait_finished(h, Duration::from_secs(30)),
+        "stream completes"
+    );
+    let got = client
+        .query(h, Duration::from_secs(10))
+        .expect("detections");
     assert_eq!(got, want);
     server.shutdown();
 }
@@ -60,7 +65,10 @@ fn clean_run_counts_zero_duplicates() {
         }
     }
     client.finish(h, common::totals(&spec, 96));
-    assert!(client.wait_finished(h, Duration::from_secs(30)), "stream completes");
+    assert!(
+        client.wait_finished(h, Duration::from_secs(30)),
+        "stream completes"
+    );
 
     let stats = server.stats();
     assert_eq!(client.reconnects(), 0, "run must be clean");
@@ -78,7 +86,10 @@ fn faulted_served_stream_matches_in_process_run_across_seeds() {
         let spec = common::spec(4, &[2, 2]);
         let rows = common::synth_rows(&spec, 96, seed);
         let want = common::reference_detections(&spec, &rows, 96);
-        assert!(!want.is_empty(), "seed {seed}: trace must produce detections");
+        assert!(
+            !want.is_empty(),
+            "seed {seed}: trace must produce detections"
+        );
 
         let dir = common::temp_dir(&format!("diff-{seed}"));
         let server = serve(ServeConfig {
@@ -145,7 +156,9 @@ fn duplicates_and_out_of_order_delivery_are_absorbed() {
     }
     client.finish(h, common::totals(&spec, 64));
     assert!(client.wait_finished(h, Duration::from_secs(60)));
-    let got = client.query(h, Duration::from_secs(10)).expect("detections");
+    let got = client
+        .query(h, Duration::from_secs(10))
+        .expect("detections");
     assert_eq!(got, want);
     assert!(server.stats().duplicates > 0, "dedup must have fired");
     server.shutdown();
@@ -173,7 +186,9 @@ fn load_shedding_sheds_without_losing_the_stream() {
     }
     client.finish(h, common::totals(&spec, 256));
     assert!(client.wait_finished(h, Duration::from_secs(120)));
-    let got = client.query(h, Duration::from_secs(10)).expect("detections");
+    let got = client
+        .query(h, Duration::from_secs(10))
+        .expect("detections");
     assert_eq!(got, want);
     server.shutdown();
 }

@@ -13,7 +13,11 @@ use snod_serve::{serve, ClientConfig, ServeClient, ServeConfig};
 /// One-shot HTTP GET against the metrics listener.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("dial metrics");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").expect("send");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("response");
     let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
@@ -50,7 +54,10 @@ fn scrape_endpoints_report_daemon_health() {
 
     let (status, body) = http_get(maddr, "/escalations");
     assert!(status.contains("200"), "escalations: {status}");
-    assert!(body.starts_with('[') && body.ends_with(']'), "escalations body: {body}");
+    assert!(
+        body.starts_with('[') && body.ends_with(']'),
+        "escalations body: {body}"
+    );
     if !common::reference_detections(&spec, &rows, 64).is_empty() {
         assert!(
             body.contains("\"tenant\":\"scraped\""),

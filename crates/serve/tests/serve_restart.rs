@@ -117,7 +117,9 @@ fn kill_dash_nine_mid_ingest_resumes_all_tenants_from_checkpoints() {
         );
     }
     for (i, &h) in handles.iter().enumerate() {
-        let got = client.query(h, Duration::from_secs(30)).expect("detections");
+        let got = client
+            .query(h, Duration::from_secs(30))
+            .expect("detections");
         assert_eq!(
             got, references[i],
             "tenant {i}: escalations after kill -9 + resume differ from reference (duplicate or lost escalations)"
@@ -182,8 +184,13 @@ fn crashed_tenant_worker_is_respawned_from_checkpoint() {
         client.wait_finished(h, Duration::from_secs(120)),
         "stream completes across the worker crash"
     );
-    let got = client.query(h, Duration::from_secs(30)).expect("detections");
-    assert_eq!(got, want, "escalations across a worker crash differ from reference");
+    let got = client
+        .query(h, Duration::from_secs(30))
+        .expect("detections");
+    assert_eq!(
+        got, want,
+        "escalations across a worker crash differ from reference"
+    );
     assert!(
         server.stats().worker_restarts >= 1,
         "supervisor must have respawned the worker"
@@ -238,7 +245,9 @@ fn graceful_shutdown_drains_and_checkpoints() {
     assert_eq!(client2.resumed(h2), Some(true));
     client2.finish(h2, common::totals(&spec, 64));
     assert!(client2.wait_finished(h2, Duration::from_secs(60)));
-    let got = client2.query(h2, Duration::from_secs(10)).expect("detections");
+    let got = client2
+        .query(h2, Duration::from_secs(10))
+        .expect("detections");
     let want = common::reference_detections(&spec, &rows, 64);
     assert_eq!(got, want, "drained state must carry the full stream");
     server.shutdown();

@@ -65,12 +65,18 @@ fn hostile_length_fields_cost_no_allocation() {
     // length this test would abort the process, not fail.)
     let mut frame = encode_frame(&sample());
     frame[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert_eq!(decode_one(&frame), Err(WireError::Oversized { len: u64::MAX }));
+    assert_eq!(
+        decode_one(&frame),
+        Err(WireError::Oversized { len: u64::MAX })
+    );
 
     let mut frame = encode_frame(&sample());
     let just_over = MAX_FRAME_BYTES + 1;
     frame[12..20].copy_from_slice(&just_over.to_le_bytes());
-    assert_eq!(decode_one(&frame), Err(WireError::Oversized { len: just_over }));
+    assert_eq!(
+        decode_one(&frame),
+        Err(WireError::Oversized { len: just_over })
+    );
 
     // The cap itself is still in-bounds — it waits for payload bytes.
     let mut frame = encode_frame(&sample());
@@ -154,5 +160,8 @@ fn decode_resumes_cleanly_after_interleaved_valid_frames() {
     dec.feed(&good);
     dec.feed(&bad);
     assert_eq!(dec.next_frame(), Ok(Some(Msg::Ping)));
-    assert!(matches!(dec.next_frame(), Err(WireError::BadChecksum { .. })));
+    assert!(matches!(
+        dec.next_frame(),
+        Err(WireError::BadChecksum { .. })
+    ));
 }

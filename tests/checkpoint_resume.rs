@@ -145,7 +145,10 @@ fn d3_faultless_resume_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(detections::<D3Backend>(&uninterrupted), detections::<D3Backend>(&resumed));
+    assert_eq!(
+        detections::<D3Backend>(&uninterrupted),
+        detections::<D3Backend>(&resumed)
+    );
 }
 
 #[test]
@@ -167,7 +170,10 @@ fn d3_resume_under_random_faults_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(detections::<D3Backend>(&uninterrupted), detections::<D3Backend>(&resumed));
+    assert_eq!(
+        detections::<D3Backend>(&uninterrupted),
+        detections::<D3Backend>(&resumed)
+    );
 }
 
 #[test]
@@ -217,7 +223,10 @@ fn d3_checkpoint_restores_across_engine_parallelism() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(detections::<D3Backend>(&uninterrupted), detections::<D3Backend>(&resumed));
+    assert_eq!(
+        detections::<D3Backend>(&uninterrupted),
+        detections::<D3Backend>(&resumed)
+    );
 }
 
 #[test]
@@ -247,7 +256,10 @@ fn d3_file_round_trip_is_atomic_and_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(detections::<D3Backend>(&uninterrupted), detections::<D3Backend>(&resumed));
+    assert_eq!(
+        detections::<D3Backend>(&uninterrupted),
+        detections::<D3Backend>(&resumed)
+    );
     std::fs::remove_file(&path).ok();
 }
 
@@ -268,7 +280,10 @@ fn mgdd_faultless_resume_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(detections::<MgddBackend>(&uninterrupted), detections::<MgddBackend>(&resumed));
+    assert_eq!(
+        detections::<MgddBackend>(&uninterrupted),
+        detections::<MgddBackend>(&resumed)
+    );
 }
 
 #[test]
@@ -290,7 +305,10 @@ fn mgdd_resume_under_random_faults_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(detections::<MgddBackend>(&uninterrupted), detections::<MgddBackend>(&resumed));
+    assert_eq!(
+        detections::<MgddBackend>(&uninterrupted),
+        detections::<MgddBackend>(&resumed)
+    );
 }
 
 #[test]
@@ -321,7 +339,10 @@ fn mgdd_resume_with_warm_restart_policy_is_bit_identical() {
     resumed.run_until(&mut source, READINGS, u64::MAX);
 
     assert_stats_identical(uninterrupted.stats(), resumed.stats());
-    assert_eq!(detections::<MgddBackend>(&uninterrupted), detections::<MgddBackend>(&resumed));
+    assert_eq!(
+        detections::<MgddBackend>(&uninterrupted),
+        detections::<MgddBackend>(&resumed)
+    );
 }
 
 // ----------------------------------------------------- compatibility --
@@ -334,9 +355,13 @@ fn restore_rejects_a_checkpoint_from_a_different_world() {
 
     // Different topology.
     let other_topo = Hierarchy::balanced(8, &[2, 2, 2]).unwrap();
-    let mut other =
-        build_backend_network(&d3_backend(), other_topo, SimConfig::default(), FaultPlan::none())
-            .unwrap();
+    let mut other = build_backend_network(
+        &d3_backend(),
+        other_topo,
+        SimConfig::default(),
+        FaultPlan::none(),
+    )
+    .unwrap();
     assert!(matches!(
         other.restore(&snapshot),
         Err(PersistError::Corrupt(_))
@@ -364,9 +389,13 @@ fn restore_rejects_a_checkpoint_from_a_different_world() {
     let mut pristine = d3_net(SimConfig::default(), FaultPlan::none());
     let mut reference = d3_net(SimConfig::default(), FaultPlan::none());
     let other_topo = Hierarchy::balanced(8, &[2, 2, 2]).unwrap();
-    let mut alien =
-        build_backend_network(&d3_backend(), other_topo, SimConfig::default(), FaultPlan::none())
-            .unwrap();
+    let mut alien = build_backend_network(
+        &d3_backend(),
+        other_topo,
+        SimConfig::default(),
+        FaultPlan::none(),
+    )
+    .unwrap();
     alien.run_until(&mut source, READINGS, CUT_NS);
     assert!(pristine.restore(&alien.checkpoint()).is_err());
     pristine.run(&mut source, READINGS);

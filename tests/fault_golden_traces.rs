@@ -98,7 +98,15 @@ fn blackout_plan() -> FaultPlan {
 
 fn d3_run(plan: FaultPlan, sim: SimConfig) -> Network<D3Payload, D3Node> {
     let mut src = source;
-    run_backend_with_faults(&D3Backend(d3_config()), topo(), sim, plan, &mut src, READINGS).unwrap()
+    run_backend_with_faults(
+        &D3Backend(d3_config()),
+        topo(),
+        sim,
+        plan,
+        &mut src,
+        READINGS,
+    )
+    .unwrap()
 }
 
 fn mgdd_run(plan: FaultPlan, sim: SimConfig) -> Network<MgddPayload, MgddNode> {
@@ -147,7 +155,10 @@ fn d3_zero_probability_plan_reproduces_the_faultless_trace() {
     let baseline = d3_run(FaultPlan::none(), sim);
     let armed = d3_run(zero_plan(), sim);
     assert_stats_identical(baseline.stats(), armed.stats());
-    assert_eq!(detections::<D3Backend>(&baseline), detections::<D3Backend>(&armed));
+    assert_eq!(
+        detections::<D3Backend>(&baseline),
+        detections::<D3Backend>(&armed)
+    );
 }
 
 #[test]
@@ -160,7 +171,10 @@ fn d3_deterministic_degradation_trace() {
     // The run is seeded end to end: replaying it is bit-identical.
     let again = d3_run(degraded_plan(&topo()), sim);
     assert_stats_identical(faulty.stats(), again.stats());
-    assert_eq!(detections::<D3Backend>(&faulty), detections::<D3Backend>(&again));
+    assert_eq!(
+        detections::<D3Backend>(&faulty),
+        detections::<D3Backend>(&again)
+    );
 
     // Broadcast-free D3 leaves never receive anything, so leaves the
     // plan does not touch behave bit-identically to the baseline.
@@ -196,7 +210,10 @@ fn d3_blackout_trace_is_exact() {
     // Every frame aired was lost, nothing was ever acknowledged.
     assert_eq!(dark.stats().dropped, dark.stats().messages);
     assert_eq!(dark.stats().acks, 0);
-    assert!(dark.stats().retransmissions > 0, "reliable layer never retried");
+    assert!(
+        dark.stats().retransmissions > 0,
+        "reliable layer never retried"
+    );
     assert!(dark.stats().retry_exhausted > 0, "retries never gave up");
 
     // Nothing crossed the network: every detection is leaf-local, and
@@ -218,7 +235,10 @@ fn d3_blackout_trace_is_exact() {
     // Replay is bit-identical.
     let again = d3_run(blackout_plan(), sim);
     assert_stats_identical(dark.stats(), again.stats());
-    assert_eq!(detections::<D3Backend>(&dark), detections::<D3Backend>(&again));
+    assert_eq!(
+        detections::<D3Backend>(&dark),
+        detections::<D3Backend>(&again)
+    );
 }
 
 // -------------------------------------------------------------- MGDD --
@@ -229,7 +249,10 @@ fn mgdd_zero_probability_plan_reproduces_the_faultless_trace() {
     let baseline = mgdd_run(FaultPlan::none(), sim);
     let armed = mgdd_run(zero_plan(), sim);
     assert_stats_identical(baseline.stats(), armed.stats());
-    assert_eq!(detections::<MgddBackend>(&baseline), detections::<MgddBackend>(&armed));
+    assert_eq!(
+        detections::<MgddBackend>(&baseline),
+        detections::<MgddBackend>(&armed)
+    );
 }
 
 #[test]
@@ -245,11 +268,17 @@ fn mgdd_deterministic_degradation_trace() {
         faulty.stats().degraded_scores > 0 || faulty.stats().local_fallbacks > 0,
         "a dead broadcaster caused no degradation at all"
     );
-    assert!(faulty.stats().lost_to_crash > 0, "no frame died at the root");
+    assert!(
+        faulty.stats().lost_to_crash > 0,
+        "no frame died at the root"
+    );
 
     let again = mgdd_run(plan, sim);
     assert_stats_identical(faulty.stats(), again.stats());
-    assert_eq!(detections::<MgddBackend>(&faulty), detections::<MgddBackend>(&again));
+    assert_eq!(
+        detections::<MgddBackend>(&faulty),
+        detections::<MgddBackend>(&again)
+    );
 }
 
 #[test]
@@ -272,5 +301,8 @@ fn mgdd_blackout_falls_back_to_local_models() {
 
     let again = mgdd_run(blackout_plan(), sim);
     assert_stats_identical(dark.stats(), again.stats());
-    assert_eq!(detections::<MgddBackend>(&dark), detections::<MgddBackend>(&again));
+    assert_eq!(
+        detections::<MgddBackend>(&dark),
+        detections::<MgddBackend>(&again)
+    );
 }

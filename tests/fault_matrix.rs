@@ -10,8 +10,8 @@
 
 use sensor_outliers::core::{
     build_backend_network, run_backend_with_faults, D3Backend, D3Config, DetectorBackend,
-    EstimatorConfig, FqnBackend, FqnConfig, MgddBackend, MgddConfig, MmdewBackend,
-    MmdewNodeConfig, UpdateStrategy,
+    EstimatorConfig, FqnBackend, FqnConfig, MgddBackend, MgddConfig, MmdewBackend, MmdewNodeConfig,
+    UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::simnet::{
@@ -101,8 +101,9 @@ fn containment_matrix_stays_sound<B: DetectorBackend>(recipe: impl Fn(u64) -> B)
             let backend = recipe(seed);
             let sim = SimConfig::default().with_reliability(RetryPolicy::default());
             let mut src = source_for(seed);
-            let net = run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
-                .expect("valid config");
+            let net =
+                run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
+                    .expect("valid config");
             let cell = format!("{}/seed {seed}/{label}", backend.kind());
             assert_accounting_consistent(&cell, net.stats());
 
@@ -162,7 +163,11 @@ fn fqn_matrix_stays_sound_at_every_cell() {
 fn shifting_source_for(seed: u64) -> impl FnMut(NodeId, u64) -> Option<Vec<f64>> {
     move |node: NodeId, seq: u64| {
         let h = (node.0 as u64 * 1_000_003) ^ seq.wrapping_mul(7_919 + seed);
-        let base = if (seq / 250).is_multiple_of(2) { 0.2 } else { 0.8 };
+        let base = if (seq / 250).is_multiple_of(2) {
+            0.2
+        } else {
+            0.8
+        };
         Some(vec![base + 0.02 * ((h % 1_009) as f64 / 1_009.0)])
     }
 }
@@ -181,8 +186,9 @@ fn mmdew_matrix_keeps_alarming_at_every_cell() {
             let sim = SimConfig::default().with_reliability(RetryPolicy::default());
             let mut src = shifting_source_for(seed);
             let backend = MmdewBackend(cfg);
-            let net = run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
-                .expect("valid config");
+            let net =
+                run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
+                    .expect("valid config");
             let cell = format!("mmdew/seed {seed}/{label}");
             assert_accounting_consistent(&cell, net.stats());
 
@@ -193,7 +199,10 @@ fn mmdew_matrix_keeps_alarming_at_every_cell() {
                 .iter()
                 .map(|&l| net.app(l).detections.len())
                 .sum();
-            assert!(leaf_detections > 0, "{cell}: leaves went blind to the shift");
+            assert!(
+                leaf_detections > 0,
+                "{cell}: leaves went blind to the shift"
+            );
 
             // Every tallied child alarm corresponds to a detection some
             // non-root node escalated — the tally can lag (frames still
@@ -236,9 +245,10 @@ fn mgdd_warm_restart_skips_the_staleness_window_cold_restarts_incur() {
     };
     // Crash one leaf (a replica holder) for the middle third.
     let victim = topo.leaves()[0];
-    let plan = FaultPlan::none()
-        .with_seed(seed)
-        .crash(victim, HORIZON_NS / 3, Some(2 * HORIZON_NS / 3));
+    let plan =
+        FaultPlan::none()
+            .with_seed(seed)
+            .crash(victim, HORIZON_NS / 3, Some(2 * HORIZON_NS / 3));
     let sim = SimConfig::default().with_reliability(RetryPolicy::default());
 
     let run = |policy: RestartPolicy| {
@@ -257,8 +267,14 @@ fn mgdd_warm_restart_skips_the_staleness_window_cold_restarts_incur() {
 
     assert_accounting_consistent("mgdd/restart cold", cold.stats());
     assert_accounting_consistent("mgdd/restart warm", warm.stats());
-    assert!(cold.stats().cold_restarts > 0, "the crash never cold-revived");
-    assert!(warm.stats().warm_restarts > 0, "the crash never warm-revived");
+    assert!(
+        cold.stats().cold_restarts > 0,
+        "the crash never cold-revived"
+    );
+    assert!(
+        warm.stats().warm_restarts > 0,
+        "the crash never warm-revived"
+    );
     assert_eq!(warm.stats().cold_restarts, 0, "warm run fell back to cold");
 
     // The structural claim of the row: only the cold-restarted leaf is
@@ -302,8 +318,9 @@ fn mgdd_matrix_degrades_gracefully_at_every_cell() {
             };
             let sim = SimConfig::default().with_reliability(RetryPolicy::default());
             let mut src = source_for(seed);
-            let net = run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
-                .expect("valid config");
+            let net =
+                run_backend_with_faults(&backend, topo.clone(), sim, plan, &mut src, READINGS)
+                    .expect("valid config");
             let cell = format!("mgdd/seed {seed}/{label}");
             assert_accounting_consistent(&cell, net.stats());
 

@@ -60,15 +60,15 @@ fn d3_backend() -> D3Backend {
 /// duplication — each parameter drawn independently.
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
     (
-        0u64..1_000,                      // fault-stream seed
+        0u64..1_000,                          // fault-stream seed
         (0u64..HORIZON_NS, 1u64..HORIZON_NS), // burst start / length
-        0.0f64..1.0,                      // burst drop probability
-        0u32..NODES,                      // crashing node
+        0.0f64..1.0,                          // burst drop probability
+        0u32..NODES,                          // crashing node
         (0u64..HORIZON_NS, 1u64..HORIZON_NS), // crash start / length
-        0u32..2,                          // 1 = never restarts
-        0u64..20_000_000,                 // extra link delay
-        0u64..5_000_000,                  // link jitter
-        0.0f64..0.3,                      // duplication probability
+        0u32..2,                              // 1 = never restarts
+        0u64..20_000_000,                     // extra link delay
+        0u64..5_000_000,                      // link jitter
+        0.0f64..0.3,                          // duplication probability
     )
         .prop_map(
             |(seed, (b_from, b_len), p, node, (c_from, c_len), perm, delay, jitter, dup)| {

@@ -20,8 +20,8 @@
 
 use sensor_outliers::core::{
     build_backend_network, CentralizedBackend, D3Backend, D3Config, DetectorBackend,
-    EstimatorConfig, FqnBackend, FqnConfig, MgddBackend, MgddConfig, MmdewBackend,
-    MmdewNodeConfig, UpdateStrategy,
+    EstimatorConfig, FqnBackend, FqnConfig, MgddBackend, MgddConfig, MmdewBackend, MmdewNodeConfig,
+    UpdateStrategy,
 };
 use sensor_outliers::outlier::{DistanceOutlierConfig, MdefConfig};
 use sensor_outliers::persist::{crc32, decode_checkpoint, FORMAT_VERSION, HEADER_LEN, MAGIC};
@@ -29,7 +29,13 @@ use sensor_outliers::simnet::{FaultPlan, Hierarchy, Network, NodeId, SimConfig};
 
 const READINGS: u64 = 300;
 const CUT_NS: u64 = 100 * 1_000_000_000;
-const GOLDENS: [&str; 5] = ["d3.ckpt", "mgdd.ckpt", "fqn.ckpt", "mmdew.ckpt", "centralized.ckpt"];
+const GOLDENS: [&str; 5] = [
+    "d3.ckpt",
+    "mgdd.ckpt",
+    "fqn.ckpt",
+    "mmdew.ckpt",
+    "centralized.ckpt",
+];
 
 pub fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -139,9 +145,12 @@ fn golden_bytes_are_stable_without_a_version_bump() {
             std::fs::write(&path, &fresh).unwrap();
             continue;
         }
-        let committed = std::fs::read(&path)
-            .unwrap_or_else(|e| panic!("missing golden {name}: {e}; regenerate with \
-                 SNOD_REGEN_GOLDENS=1 cargo test --test golden_checkpoints"));
+        let committed = std::fs::read(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden {name}: {e}; regenerate with \
+                 SNOD_REGEN_GOLDENS=1 cargo test --test golden_checkpoints"
+            )
+        });
         assert_eq!(
             committed, fresh,
             "the checkpoint encoding of {name} changed without a FORMAT_VERSION bump \
@@ -164,7 +173,11 @@ fn golden_headers_carry_the_current_version() {
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         assert_eq!(version, FORMAT_VERSION, "{name} format version");
         let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        assert_eq!(len as usize, bytes.len() - HEADER_LEN, "{name} payload length");
+        assert_eq!(
+            len as usize,
+            bytes.len() - HEADER_LEN,
+            "{name} payload length"
+        );
         let crc = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
         assert_eq!(crc, crc32(&bytes[HEADER_LEN..]), "{name} checksum");
         // And the canonical decoder agrees end to end.

@@ -129,7 +129,10 @@ fn d3_trace_is_identical_with_collection_on_and_off() {
     snod_obs::set_active(true);
 
     assert_stats_identical(with_obs.stats(), without_obs.stats());
-    assert_eq!(trace::<D3Backend>(&with_obs), trace::<D3Backend>(&without_obs));
+    assert_eq!(
+        trace::<D3Backend>(&with_obs),
+        trace::<D3Backend>(&without_obs)
+    );
 }
 
 #[test]
@@ -152,7 +155,10 @@ fn mgdd_trace_is_identical_with_collection_on_and_off() {
     snod_obs::set_active(true);
 
     assert_stats_identical(with_obs.stats(), without_obs.stats());
-    assert_eq!(trace::<MgddBackend>(&with_obs), trace::<MgddBackend>(&without_obs));
+    assert_eq!(
+        trace::<MgddBackend>(&with_obs),
+        trace::<MgddBackend>(&without_obs)
+    );
 }
 
 /// The metrics must be *true*, not just harmless: radio counters agree
@@ -179,7 +185,11 @@ fn counters_agree_with_netstats() {
     // Per-level gauges mirror messages_per_level.
     for (i, &msgs) in s.messages_per_level.iter().enumerate() {
         let name = format!("simnet.level.{}.msgs", i + 1);
-        let gauge = snap.gauges.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
+        let gauge = snap
+            .gauges
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v);
         assert_eq!(gauge, Some(msgs), "gauge {name}");
     }
 }

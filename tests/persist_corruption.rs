@@ -67,10 +67,26 @@ fn mutations_of(golden: Vec<u8>) -> Vec<(&'static str, Vec<u8>, Expect)> {
         ("empty file", Vec::new(), Expect::BadMagic),
         ("half the magic", golden[..4].to_vec(), Expect::BadMagic),
         ("magic only", golden[..8].to_vec(), Expect::Truncated),
-        ("header cut short", golden[..HEADER_LEN - 1].to_vec(), Expect::Truncated),
-        ("header only, payload gone", golden[..HEADER_LEN].to_vec(), Expect::Truncated),
-        ("payload cut mid-way", golden[..n / 2].to_vec(), Expect::Truncated),
-        ("last byte missing", golden[..n - 1].to_vec(), Expect::Truncated),
+        (
+            "header cut short",
+            golden[..HEADER_LEN - 1].to_vec(),
+            Expect::Truncated,
+        ),
+        (
+            "header only, payload gone",
+            golden[..HEADER_LEN].to_vec(),
+            Expect::Truncated,
+        ),
+        (
+            "payload cut mid-way",
+            golden[..n / 2].to_vec(),
+            Expect::Truncated,
+        ),
+        (
+            "last byte missing",
+            golden[..n - 1].to_vec(),
+            Expect::Truncated,
+        ),
     ];
 
     // -- Header field corruption --------------------------------------
@@ -116,7 +132,10 @@ fn mutations_of(golden: Vec<u8>) -> Vec<(&'static str, Vec<u8>, Expect)> {
         ("crc-patched flip near start", HEADER_LEN + 3),
         ("crc-patched flip at 1/4", HEADER_LEN + (n - HEADER_LEN) / 4),
         ("crc-patched flip mid", HEADER_LEN + (n - HEADER_LEN) / 2),
-        ("crc-patched flip at 3/4", HEADER_LEN + 3 * (n - HEADER_LEN) / 4),
+        (
+            "crc-patched flip at 3/4",
+            HEADER_LEN + 3 * (n - HEADER_LEN) / 4,
+        ),
     ] {
         let mut b = golden.clone();
         b[offset] ^= 0x80;
@@ -183,11 +202,7 @@ fn source(node: NodeId, seq: u64) -> Option<Vec<f64>> {
 
 /// Runs the full mutation table over one golden, restoring each
 /// mutant via `restore` (a fresh network per attempt).
-fn run_gauntlet(
-    tag: &str,
-    golden: Vec<u8>,
-    restore: impl Fn(&[u8]) -> Result<(), PersistError>,
-) {
+fn run_gauntlet(tag: &str, golden: Vec<u8>, restore: impl Fn(&[u8]) -> Result<(), PersistError>) {
     for (label, bytes, expect) in mutations_of(golden) {
         // Envelope-level decode.
         let enveloped = decode_checkpoint(&bytes);

@@ -125,7 +125,11 @@ fn checkpoint_round_trip_at_10k_and_50k_leaves() {
         let mut src = source;
         first.run_until(&mut src, readings, cut_ns);
         let bytes = first.checkpoint();
-        assert_ne!(bytes, full.checkpoint(), "{leaves} leaves: the cut must fall mid-run");
+        assert_ne!(
+            bytes,
+            full.checkpoint(),
+            "{leaves} leaves: the cut must fall mid-run"
+        );
 
         let mut resumed = build(leaves, 2);
         resumed.restore(&bytes).expect("checkpoint restores");

@@ -10,7 +10,6 @@
 //!   time window W"*, built on the exponential histogram so the alarm
 //!   itself stays within sketch memory.
 
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
 use snod_sketch::ExpHistogram;
 
 use crate::config::CoreError;
@@ -49,17 +48,12 @@ impl OutlierCountAlarm {
     }
 }
 
-impl Persist for OutlierCountAlarm {
-    fn save(&self, w: &mut ByteWriter) {
-        self.counter.save(w);
-        self.threshold.save(w);
+snod_persist::persist_struct! {
+    OutlierCountAlarm {
+        counter,
+        threshold,
     }
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            counter: ExpHistogram::load(r)?,
-            threshold: u64::load(r)?,
-        })
-    }
+    check: none
 }
 
 #[cfg(test)]

@@ -132,38 +132,23 @@ impl DetectorEngine<CentralizedPayload> for CentralizedNode {
     }
 }
 
-impl Persist for Root {
-    fn save(&self, w: &mut ByteWriter) {
-        self.window.save(w);
-        self.rule.save(w);
-        self.level.save(w);
-        self.warmup.save(w);
-        self.window_per_leaf.save(w);
+snod_persist::persist_struct! {
+    Root {
+        window,
+        rule,
+        level,
+        warmup,
+        window_per_leaf,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            window: ExactWindowDetector::load(r)?,
-            rule: DistanceOutlierConfig::load(r)?,
-            level: u8::load(r)?,
-            warmup: usize::load(r)?,
-            window_per_leaf: usize::load(r)?,
-        })
-    }
+    check: none
 }
 
-impl Persist for CentralizedNode {
-    fn save(&self, w: &mut ByteWriter) {
-        self.root.save(w);
-        self.detections.save(w);
+snod_persist::persist_struct! {
+    CentralizedNode {
+        root,
+        detections,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            root: Option::load(r)?,
-            detections: Vec::load(r)?,
-        })
-    }
+    check: none
 }
 
 #[cfg(test)]

@@ -75,20 +75,13 @@ pub struct Detection {
     pub level: u8,
 }
 
-impl Persist for Detection {
-    fn save(&self, w: &mut ByteWriter) {
-        self.time_ns.save(w);
-        self.value.save(w);
-        self.level.save(w);
+snod_persist::persist_struct! {
+    Detection {
+        time_ns,
+        value,
+        level,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            time_ns: u64::load(r)?,
-            value: Vec::<f64>::load(r)?,
-            level: u8::load(r)?,
-        })
-    }
+    check: none
 }
 
 /// The `IsOutlier(R, σ, P)` of Figure 4: a node's local state, how a
@@ -225,22 +218,14 @@ impl<R: LeafRule> DetectorEngine<ContainmentPayload> for ContainmentNode<R> {
     }
 }
 
-impl<R: LeafRule> Persist for ContainmentNode<R> {
-    fn save(&self, w: &mut ByteWriter) {
-        self.rule.save(w);
-        self.rng.save(w);
-        self.detections.save(w);
-        self.level.save(w);
+snod_persist::persist_struct! {
+    impl[R: LeafRule] ContainmentNode<R> {
+        rule,
+        rng,
+        detections,
+        level,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            rule: R::load(r)?,
-            rng: SeededRng::load(r)?,
-            detections: Vec::<Detection>::load(r)?,
-            level: u8::load(r)?,
-        })
-    }
+    check: none
 }
 
 /// One battery over the protocol, instantiated per rule at the bottom:

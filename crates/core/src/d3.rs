@@ -8,8 +8,6 @@
 //! `t·Σ|Wᵢ|/|W|` down to the arrival window, with the same `|W|`, `|R|`
 //! and threshold `t` at every tier.
 
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
-
 use crate::config::{CoreError, D3Config};
 use crate::containment::{ContainmentNode, ContainmentPayload, LeafRule};
 use crate::estimator::SensorEstimator;
@@ -94,16 +92,10 @@ impl D3Node {
     }
 }
 
-impl Persist for DistanceRule {
-    fn save(&self, w: &mut ByteWriter) {
-        self.est.save(w);
-        self.cfg.save(w);
+snod_persist::persist_struct! {
+    DistanceRule {
+        est,
+        cfg,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            est: SensorEstimator::load(r)?,
-            cfg: D3Config::load(r)?,
-        })
-    }
+    check: none
 }

@@ -472,63 +472,42 @@ impl Persist for SensorModel {
     }
 }
 
-impl Persist for ModelCache {
-    fn save(&self, w: &mut ByteWriter) {
-        self.version.save(w);
-        self.built_sigmas.save(w);
-        self.model.save(w);
+snod_persist::persist_struct! {
+    ModelCache {
+        version,
+        built_sigmas,
+        model,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            version: u64::load(r)?,
-            built_sigmas: Vec::<f64>::load(r)?,
-            model: SensorModel::load(r)?,
-        })
-    }
+    check: none
 }
 
-impl Persist for SensorEstimator {
-    fn save(&self, w: &mut ByteWriter) {
-        self.cfg.save(w);
-        self.sampler.save(w);
-        self.variances.save(w);
-        self.observed.save(w);
-        self.conceptual_window.save(w);
-        self.per_arrival_coverage.save(w);
-        self.cached.save(w);
-        self.epochs.save(w);
+snod_persist::persist_struct! {
+    SensorEstimator {
+        cfg,
+        sampler,
+        variances,
+        observed,
+        conceptual_window,
+        per_arrival_coverage,
+        cached,
+        epochs,
     }
+    check: SensorEstimator::check_loaded
+}
 
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let cfg = EstimatorConfig::load(r)?;
-        let sampler = ChainSampler::load(r)?;
-        let variances = Vec::<WindowedVariance>::load(r)?;
-        let observed = u64::load(r)?;
-        let conceptual_window = f64::load(r)?;
-        let per_arrival_coverage = f64::load(r)?;
-        let cached = Option::<ModelCache>::load(r)?;
-        let epochs = u64::load(r)?;
-        if variances.len() != cfg.dimensions {
+impl SensorEstimator {
+    fn check_loaded(&self) -> Result<(), PersistError> {
+        if self.variances.len() != self.cfg.dimensions {
             return Err(PersistError::Corrupt(
                 "estimator variance count mismatches its dimensionality",
             ));
         }
-        if !(conceptual_window > 0.0) || !(per_arrival_coverage > 0.0) {
+        if !(self.conceptual_window > 0.0) || !(self.per_arrival_coverage > 0.0) {
             return Err(PersistError::Corrupt(
                 "estimator count-scaling parameters must be positive",
             ));
         }
-        Ok(Self {
-            cfg,
-            sampler,
-            variances,
-            observed,
-            conceptual_window,
-            per_arrival_coverage,
-            cached,
-            epochs,
-        })
+        Ok(())
     }
 }
 

@@ -14,7 +14,7 @@
 //! in the leaf step: leaves test every reading against their local
 //! window *before* admitting it.
 
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
+use snod_persist::PersistError;
 use snod_robust::QnWindow;
 
 use crate::config::CoreError;
@@ -72,29 +72,16 @@ impl FqnConfig {
     }
 }
 
-impl Persist for FqnConfig {
-    fn save(&self, w: &mut ByteWriter) {
-        (self.dimensions as u64).save(w);
-        (self.window as u64).save(w);
-        self.k_scale.save(w);
-        (self.warmup as u64).save(w);
-        self.sample_fraction.save(w);
-        self.seed.save(w);
+snod_persist::persist_struct! {
+    FqnConfig {
+        dimensions,
+        window,
+        k_scale,
+        warmup,
+        sample_fraction,
+        seed,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let cfg = Self {
-            dimensions: u64::load(r)? as usize,
-            window: u64::load(r)? as usize,
-            k_scale: f64::load(r)?,
-            warmup: u64::load(r)? as usize,
-            sample_fraction: f64::load(r)?,
-            seed: u64::load(r)?,
-        };
-        cfg.validate()
-            .map_err(|_| PersistError::Corrupt("invalid fqn config"))?;
-        Ok(cfg)
-    }
+    check: |c| c.validate().map_err(|_| PersistError::Corrupt("invalid fqn config"))
 }
 
 /// FQN wire messages — the same two-message shape as D3.
@@ -186,21 +173,20 @@ impl FqnNode {
     }
 }
 
-impl Persist for QnRule {
-    fn save(&self, w: &mut ByteWriter) {
-        self.windows.save(w);
-        self.cfg.save(w);
+snod_persist::persist_struct! {
+    QnRule {
+        windows,
+        cfg,
     }
+    check: QnRule::check_loaded
+}
 
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let rule = Self {
-            windows: Vec::<QnWindow>::load(r)?,
-            cfg: FqnConfig::load(r)?,
-        };
-        if rule.windows.len() != rule.cfg.dimensions {
+impl QnRule {
+    fn check_loaded(&self) -> Result<(), PersistError> {
+        if self.windows.len() != self.cfg.dimensions {
             return Err(PersistError::Corrupt("fqn window/dimension mismatch"));
         }
-        Ok(rule)
+        Ok(())
     }
 }
 

@@ -406,32 +406,19 @@ impl Persist for MgddPayload {
     }
 }
 
-impl Persist for MgddNode {
-    fn save(&self, w: &mut ByteWriter) {
-        self.est.save(w);
-        self.cfg.save(w);
-        self.rng.save(w);
-        self.level.save(w);
-        self.broadcasts.save(w);
-        self.replicas.save(w);
-        self.last_broadcast.save(w);
-        self.since_check.save(w);
-        self.detections.save(w);
+snod_persist::persist_struct! {
+    MgddNode {
+        est,
+        cfg,
+        rng,
+        level,
+        broadcasts,
+        replicas,
+        last_broadcast,
+        since_check,
+        detections,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            est: SensorEstimator::load(r)?,
-            cfg: MgddConfig::load(r)?,
-            rng: SeededRng::load(r)?,
-            level: u8::load(r)?,
-            broadcasts: bool::load(r)?,
-            replicas: Vec::<(u8, IncrementalReplica)>::load(r)?,
-            last_broadcast: Option::<SensorModel>::load(r)?,
-            since_check: u64::load(r)?,
-            detections: Vec::<Detection>::load(r)?,
-        })
-    }
+    check: none
 }
 
 #[cfg(test)]

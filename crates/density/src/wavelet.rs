@@ -11,7 +11,7 @@
 //! it is memory-comparable to the paper's kernel sample, making the
 //! kernels-vs-wavelets accuracy comparison honest.
 
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
+use snod_persist::PersistError;
 
 use crate::model::{check_dims, DensityModel};
 use crate::DensityError;
@@ -191,26 +191,26 @@ impl DensityModel for WaveletHistogram {
     }
 }
 
-impl Persist for WaveletHistogram {
-    fn save(&self, w: &mut ByteWriter) {
-        self.bins.save(w);
-        self.kept.save(w);
-        self.total.save(w);
+snod_persist::persist_struct! {
+    WaveletHistogram {
+        bins,
+        kept,
+        total,
     }
+    check: WaveletHistogram::check_loaded
+}
 
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let bins = Vec::<f64>::load(r)?;
-        let kept = usize::load(r)?;
-        let total = f64::load(r)?;
-        if bins.is_empty() || !bins.len().is_power_of_two() {
+impl WaveletHistogram {
+    fn check_loaded(&self) -> Result<(), PersistError> {
+        if self.bins.is_empty() || !self.bins.len().is_power_of_two() {
             return Err(PersistError::Corrupt(
                 "wavelet bin count must be a power of two",
             ));
         }
-        if !(total > 0.0) {
+        if !(self.total > 0.0) {
             return Err(PersistError::Corrupt("histogram total must be positive"));
         }
-        Ok(Self { bins, kept, total })
+        Ok(())
     }
 }
 

@@ -1,7 +1,5 @@
 //! Network statistics — the quantities behind Figure 11 and §10.3.
 
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
-
 use crate::node::NodeId;
 
 /// Aggregated traffic and energy accounting for one simulation run.
@@ -109,54 +107,30 @@ impl NetStats {
     }
 }
 
-impl Persist for NetStats {
-    fn save(&self, w: &mut ByteWriter) {
-        self.messages.save(w);
-        self.bytes.save(w);
-        self.messages_per_level.save(w);
-        self.bytes_per_node.save(w);
-        self.messages_per_node.save(w);
-        self.dropped.save(w);
-        self.lost_to_crash.save(w);
-        self.duplicates.save(w);
-        self.duplicates_suppressed.save(w);
-        self.retransmissions.save(w);
-        self.acks.save(w);
-        self.ack_bytes.save(w);
-        self.retry_exhausted.save(w);
-        self.degraded_scores.save(w);
-        self.local_fallbacks.save(w);
-        self.warm_restarts.save(w);
-        self.cold_restarts.save(w);
-        self.tx_joules.save(w);
-        self.rx_joules.save(w);
-        self.elapsed_ns.save(w);
+snod_persist::persist_struct! {
+    NetStats {
+        messages,
+        bytes,
+        messages_per_level,
+        bytes_per_node,
+        messages_per_node,
+        dropped,
+        lost_to_crash,
+        duplicates,
+        duplicates_suppressed,
+        retransmissions,
+        acks,
+        ack_bytes,
+        retry_exhausted,
+        degraded_scores,
+        local_fallbacks,
+        warm_restarts,
+        cold_restarts,
+        tx_joules,
+        rx_joules,
+        elapsed_ns,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            messages: u64::load(r)?,
-            bytes: u64::load(r)?,
-            messages_per_level: Vec::load(r)?,
-            bytes_per_node: Vec::load(r)?,
-            messages_per_node: Vec::load(r)?,
-            dropped: u64::load(r)?,
-            lost_to_crash: u64::load(r)?,
-            duplicates: u64::load(r)?,
-            duplicates_suppressed: u64::load(r)?,
-            retransmissions: u64::load(r)?,
-            acks: u64::load(r)?,
-            ack_bytes: u64::load(r)?,
-            retry_exhausted: u64::load(r)?,
-            degraded_scores: u64::load(r)?,
-            local_fallbacks: u64::load(r)?,
-            warm_restarts: u64::load(r)?,
-            cold_restarts: u64::load(r)?,
-            tx_joules: f64::load(r)?,
-            rx_joules: f64::load(r)?,
-            elapsed_ns: u64::load(r)?,
-        })
-    }
+    check: none
 }
 
 #[cfg(test)]

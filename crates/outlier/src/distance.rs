@@ -7,7 +7,6 @@
 //! `N(p, r) < t` (paper's `IsOutlier()` procedure, Figure 4 lines 32–36).
 
 use snod_density::{DensityError, DensityModel};
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
 
 /// Parameters of the `(D, r)`-outlier rule. The paper's synthetic
 /// experiments look for `(45, 0.01)`-outliers; the real-data experiments
@@ -30,18 +29,12 @@ impl DistanceOutlierConfig {
     }
 }
 
-impl Persist for DistanceOutlierConfig {
-    fn save(&self, w: &mut ByteWriter) {
-        self.radius.save(w);
-        self.min_neighbors.save(w);
+snod_persist::persist_struct! {
+    DistanceOutlierConfig {
+        radius,
+        min_neighbors,
     }
-
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
-            radius: f64::load(r)?,
-            min_neighbors: f64::load(r)?,
-        })
-    }
+    check: none
 }
 
 /// Tests whether `p` is a `(D, r)`-outlier under `model`'s estimate of the

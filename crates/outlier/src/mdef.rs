@@ -383,31 +383,24 @@ impl Persist for SigmaMode {
     }
 }
 
-impl Persist for MdefConfig {
-    fn save(&self, w: &mut ByteWriter) {
-        self.sampling_radius.save(w);
-        self.counting_radius.save(w);
-        self.k_sigma.save(w);
-        self.sigma_mode.save(w);
-        self.min_deviation.save(w);
+snod_persist::persist_struct! {
+    MdefConfig {
+        sampling_radius,
+        counting_radius,
+        k_sigma,
+        sigma_mode,
+        min_deviation,
     }
+    check: MdefConfig::check_loaded
+}
 
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let sampling_radius = f64::load(r)?;
-        let counting_radius = f64::load(r)?;
-        let k_sigma = f64::load(r)?;
-        let sigma_mode = SigmaMode::load(r)?;
-        let min_deviation = f64::load(r)?;
-        if !(counting_radius > 0.0 && counting_radius <= sampling_radius && k_sigma > 0.0) {
+impl MdefConfig {
+    fn check_loaded(&self) -> Result<(), PersistError> {
+        let (r, ar) = (self.sampling_radius, self.counting_radius);
+        if !(ar > 0.0 && ar <= r && self.k_sigma > 0.0) {
             return Err(PersistError::Corrupt("mdef radii violate 0 < ar <= r"));
         }
-        Ok(Self {
-            sampling_radius,
-            counting_radius,
-            k_sigma,
-            sigma_mode,
-            min_deviation,
-        })
+        Ok(())
     }
 }
 

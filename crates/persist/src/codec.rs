@@ -264,72 +264,43 @@ impl<T: Persist> Persist for Option<T> {
     }
 }
 
-impl<T: Persist> Persist for Vec<T> {
-    fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.len());
-        for v in self {
-            v.save(w);
+macro_rules! impl_persist_seq {
+    ($($seq:ident => $push:ident),*) => {$(
+        impl<T: Persist> Persist for $seq<T> {
+            fn save(&self, w: &mut ByteWriter) {
+                w.put_usize(self.len());
+                for v in self {
+                    v.save(w);
+                }
+            }
+            fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+                let n = r.get_len()?;
+                let mut out = $seq::with_capacity(n);
+                for _ in 0..n {
+                    out.$push(T::load(r)?);
+                }
+                Ok(out)
+            }
         }
-    }
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let n = r.get_len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::load(r)?);
-        }
-        Ok(out)
-    }
+    )*};
 }
 
-impl<T: Persist> Persist for VecDeque<T> {
-    fn save(&self, w: &mut ByteWriter) {
-        w.put_usize(self.len());
-        for v in self {
-            v.save(w);
+impl_persist_seq!(Vec => push, VecDeque => push_back);
+
+macro_rules! impl_persist_tuple {
+    ($(($($t:ident $i:tt),+)),* $(,)?) => {$(
+        impl<$($t: Persist),+> Persist for ($($t,)+) {
+            fn save(&self, w: &mut ByteWriter) {
+                $(self.$i.save(w);)+
+            }
+            fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+                Ok(($($t::load(r)?,)+))
+            }
         }
-    }
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let n = r.get_len()?;
-        let mut out = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            out.push_back(T::load(r)?);
-        }
-        Ok(out)
-    }
+    )*};
 }
 
-impl<A: Persist, B: Persist> Persist for (A, B) {
-    fn save(&self, w: &mut ByteWriter) {
-        self.0.save(w);
-        self.1.save(w);
-    }
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok((A::load(r)?, B::load(r)?))
-    }
-}
-
-impl<A: Persist, B: Persist, C: Persist> Persist for (A, B, C) {
-    fn save(&self, w: &mut ByteWriter) {
-        self.0.save(w);
-        self.1.save(w);
-        self.2.save(w);
-    }
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok((A::load(r)?, B::load(r)?, C::load(r)?))
-    }
-}
-
-impl<A: Persist, B: Persist, C: Persist, D: Persist> Persist for (A, B, C, D) {
-    fn save(&self, w: &mut ByteWriter) {
-        self.0.save(w);
-        self.1.save(w);
-        self.2.save(w);
-        self.3.save(w);
-    }
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        Ok((A::load(r)?, B::load(r)?, C::load(r)?, D::load(r)?))
-    }
-}
+impl_persist_tuple!((A 0, B 1), (A 0, B 1, C 2), (A 0, B 1, C 2, D 3));
 
 /// Hash maps are written in sorted key order so the encoding of a
 /// given state is unique — golden-file tests depend on it.

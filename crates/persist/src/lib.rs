@@ -23,12 +23,17 @@
 //!    resumed run draws the same tail of random numbers an
 //!    uninterrupted run would.
 //!
+//! Structs implement [`Persist`] through [`persist_struct!`], which
+//! takes one ordered field list and a declared load-time check.
+//!
 //! Encoded output is fully deterministic (unordered collections are
 //! written in sorted key order), which is what lets the golden
 //! checkpoint files under `tests/goldens/` guard the format.
 
 mod codec;
 mod container;
+#[doc(hidden)]
+pub mod declare;
 mod error;
 mod rng;
 

@@ -5,7 +5,7 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use snod_persist::{ByteReader, ByteWriter, Persist, PersistError};
+use snod_persist::PersistError;
 
 use crate::RobustError;
 
@@ -296,24 +296,28 @@ fn select_in_band(xs: &[f64], v_lo: f64, v_hi: f64, len: usize, rank: usize) -> 
     *band.select_nth_unstable_by(rank - 1, f64::total_cmp).1
 }
 
-impl Persist for QnWindow {
-    fn save(&self, w: &mut ByteWriter) {
-        self.capacity.save(w);
-        self.arrival.save(w);
+snod_persist::persist_struct! {
+    QnWindow {
+        capacity,
+        arrival,
         // The sorted buffer is persisted too: with equal values of
         // different bit patterns (-0.0/0.0) a re-sort could place them
         // differently than the incremental inserts did.
-        self.sorted.save(w);
+        sorted,
     }
+    derived {
+        hint: Cell::new(f64::NAN),
+    }
+    check: QnWindow::check_loaded
+}
 
-    fn load(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
-        let capacity = usize::load(r)?;
-        let arrival = VecDeque::<f64>::load(r)?;
-        let sorted = Vec::<f64>::load(r)?;
-        if capacity < 2 {
+impl QnWindow {
+    fn check_loaded(&self) -> Result<(), PersistError> {
+        let (arrival, sorted) = (&self.arrival, &self.sorted);
+        if self.capacity < 2 {
             return Err(PersistError::Corrupt("qn window capacity under 2"));
         }
-        if arrival.len() > capacity || arrival.len() != sorted.len() {
+        if arrival.len() > self.capacity || arrival.len() != sorted.len() {
             return Err(PersistError::Corrupt("qn window buffers inconsistent"));
         }
         if arrival.iter().any(|v| !v.is_finite()) {
@@ -332,18 +336,14 @@ impl Persist for QnWindow {
         if bits(arrival.iter()) != bits(sorted.iter()) {
             return Err(PersistError::Corrupt("qn sorted buffer is not the window"));
         }
-        Ok(Self {
-            capacity,
-            arrival,
-            sorted,
-            hint: Cell::new(f64::NAN),
-        })
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snod_persist::Persist;
 
     thread_local! {
         /// Two-pointer passes (`sweep` + `select_in_band`) on this thread.
